@@ -1,5 +1,5 @@
-// Crash-safe sweep checkpointing: a JSONL journal with one durably
-// appended (write + flush + fsync) record per completed sweep cell, so a
+// Crash-safe sweep checkpointing: a JSONL journal (support/journal) with
+// one durably appended (write + fsync) record per completed sweep cell, so a
 // sweep killed at hour three restarts in seconds — `--resume <journal>`
 // skips every journaled cell and reconstitutes its row into the final
 // CSVs instead of re-solving it.
@@ -18,10 +18,12 @@
 // (numbers, strings, bools; non-finite numbers are stored as the strings
 // "inf"/"-inf"/"nan" to stay valid JSON).
 //
-// Crash tolerance: a torn final line (the record being appended when the
-// process died) is detected and dropped on load. A malformed line
-// anywhere else is a real corruption and raises a ParseError annotated
-// with the journal path, line and column.
+// Crash tolerance (shared with the serve WAL through support/journal): a
+// torn final line — unparseable, or parseable but missing its newline —
+// is the record being appended when the process died; it is dropped on
+// load and repaired on disk. A malformed line anywhere else is a real
+// corruption and raises a ParseError annotated with the journal path,
+// line and column.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +31,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+
+namespace tvnep {
+class Journal;
+}
 
 namespace tvnep::eval {
 
@@ -103,7 +109,8 @@ class SweepJournal {
   /// Loads an existing journal and continues appending to it. Verifies
   /// the header fingerprint against `fingerprint` and throws ParseError
   /// when they differ (refusing to resume across incompatible configs) or
-  /// when a non-final line is malformed. A torn final line is dropped.
+  /// when a non-final line is malformed. A torn final line is dropped and
+  /// repaired on disk.
   /// A missing file degrades to create() — resuming before the first
   /// record was ever written is not an error.
   static std::unique_ptr<SweepJournal> resume(const std::string& path,
@@ -117,19 +124,21 @@ class SweepJournal {
   /// Number of records reloaded from disk by resume().
   std::size_t loaded() const { return loaded_; }
 
-  /// Durably appends one record: the line is written, flushed and fsync'd
+  /// Durably appends one record: the line is written and fsync'd
   /// before this returns, so a record implies the cell survives a SIGKILL
   /// immediately after. Thread-safe. Returns false on I/O failure (the
   /// sweep carries on — a dead journal degrades resumability, not
   /// results).
   bool append(const CellRecord& record);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const;
+
+  ~SweepJournal();
 
  private:
   SweepJournal() = default;
 
-  std::string path_;
+  std::unique_ptr<Journal> journal_;
   std::map<CellKey, CellRecord> records_;  // loaded (resume) records only
   std::size_t loaded_ = 0;
   std::mutex append_mutex_;

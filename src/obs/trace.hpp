@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "support/json.hpp"
 #include "support/stopwatch.hpp"
 
 namespace tvnep::obs {
@@ -47,8 +48,8 @@ std::string render_trace_event(const TraceEvent& event);
 /// call sites use to build span args and that the JSON writers reuse.
 std::string json_number(double value);
 
-/// Escapes a string for embedding between JSON quotes.
-std::string json_escape(const std::string& value);
+/// Escapes a string for embedding between JSON quotes (support/json).
+using tvnep::json_escape;
 
 class Tracer {
  public:

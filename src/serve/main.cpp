@@ -138,7 +138,7 @@ int dump_state(const tvnep::eval::Args& args) {
       << ",\"retired\":" << recovered.state.retired.size()
       << ",\"decisions\":" << recovered.state.decisions
       << ",\"accepted\":" << recovered.state.accepted_total
-      << ",\"now\":" << serve::wal_number(recovered.state.now)
+      << ",\"now\":" << tvnep::exact_number(recovered.state.now)
       << ",\"replayed\":" << stats.replayed
       << ",\"torn_repaired\":" << stats.torn_repaired
       << ",\"validation_ok\":" << (check.ok ? "true" : "false")
@@ -154,8 +154,8 @@ int dump_state(const tvnep::eval::Args& args) {
     first = false;
     out << "{\"id\":\"" << tvnep::obs::json_escape(commit.id)
         << "\",\"seq\":" << commit.seq
-        << ",\"start\":" << serve::wal_number(commit.start)
-        << ",\"end\":" << serve::wal_number(commit.end)
+        << ",\"start\":" << tvnep::exact_number(commit.start)
+        << ",\"end\":" << tvnep::exact_number(commit.end)
         << ",\"fastpath\":" << (commit.fastpath ? "true" : "false") << "}";
   };
   for (const serve::Commit& commit : recovered.state.commits) emit(commit);

@@ -1,26 +1,16 @@
 #include "serve/wal.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "net/instance.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "serve/json.hpp"
 #include "support/atomic_file.hpp"
 #include "support/check.hpp"
 #include "support/parse_error.hpp"
-#include "support/stopwatch.hpp"
 
 namespace tvnep::serve {
 
@@ -28,32 +18,9 @@ namespace {
 
 constexpr int kWalVersion = 1;
 constexpr const char* kLogName = "wal.jsonl";
-
-// FNV-1a, the same construction as eval/checkpoint.
-std::uint64_t fnv1a(const std::string& data,
-                    std::uint64_t hash = 0xcbf29ce484222325ull) {
-  for (const unsigned char c : data) {
-    hash ^= c;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-std::string json_quote(const std::string& value) {
-  return "\"" + obs::json_escape(value) + "\"";
-}
-
-std::string fingerprint_hex(std::uint64_t fingerprint) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return buffer;
-}
-
-std::string log_header(std::uint64_t fingerprint) {
-  return "{\"wal\":\"tvnep-serve\",\"version\":" + std::to_string(kWalVersion) +
-         ",\"fingerprint\":\"" + fingerprint_hex(fingerprint) + "\"}";
-}
+constexpr JournalFormat kLogFormat{"wal", "tvnep-serve", kWalVersion};
+constexpr JournalFormat kSnapshotFormat{"snapshot", "tvnep-serve",
+                                        kWalVersion};
 
 std::string snapshot_name(std::uint64_t tag) {
   char buffer[40];
@@ -135,8 +102,8 @@ const std::vector<JsonValue>& array_member(const JsonValue& value,
 // ----- embedding codec -----
 
 std::string encode_embedding(const core::RequestEmbedding& embedding) {
-  std::string out = "{\"start\":" + wal_number(embedding.start) +
-                    ",\"end\":" + wal_number(embedding.end) + ",\"nm\":[";
+  std::string out = "{\"start\":" + exact_number(embedding.start) +
+                    ",\"end\":" + exact_number(embedding.end) + ",\"nm\":[";
   for (std::size_t i = 0; i < embedding.node_mapping.size(); ++i) {
     if (i != 0) out += ',';
     out += std::to_string(embedding.node_mapping[i]);
@@ -144,7 +111,7 @@ std::string encode_embedding(const core::RequestEmbedding& embedding) {
   out += "],\"flow\":[";
   for (std::size_t i = 0; i < embedding.link_flow.size(); ++i) {
     if (i != 0) out += ',';
-    out += wal_number(embedding.link_flow[i]);
+    out += exact_number(embedding.link_flow[i]);
   }
   out += "]}";
   return out;
@@ -182,7 +149,7 @@ std::string encode_decision(const StateTransition& txn, std::uint64_t txid) {
                     ",\"t\":\"d\",\"id\":" + json_quote(txn.request_id) +
                     ",\"outcome\":\"" + outcome_name(txn.outcome) +
                     "\",\"fp\":" + (txn.fastpath ? "true" : "false") +
-                    ",\"now\":" + wal_number(txn.now) +
+                    ",\"now\":" + exact_number(txn.now) +
                     ",\"version\":" + std::to_string(txn.version) +
                     ",\"next_seq\":" + std::to_string(txn.next_seq) +
                     ",\"accepted\":" + std::to_string(txn.accepted_total) +
@@ -206,7 +173,7 @@ std::string encode_decision(const StateTransition& txn, std::uint64_t txid) {
 
 std::string encode_install(const StateTransition& txn, std::uint64_t txid) {
   std::string out = "{\"txid\":" + std::to_string(txid) +
-                    ",\"t\":\"i\",\"now\":" + wal_number(txn.now) +
+                    ",\"t\":\"i\",\"now\":" + exact_number(txn.now) +
                     ",\"version\":" + std::to_string(txn.version) +
                     ",\"next_seq\":" + std::to_string(txn.next_seq) +
                     ",\"accepted\":" + std::to_string(txn.accepted_total) +
@@ -216,8 +183,8 @@ std::string encode_install(const StateTransition& txn, std::uint64_t txid) {
   for (std::size_t i = 0; i < reschedules.size(); ++i) {
     if (i != 0) out += ',';
     out += "{\"seq\":" + std::to_string(reschedules[i].seq) +
-           ",\"start\":" + wal_number(reschedules[i].start) +
-           ",\"end\":" + wal_number(reschedules[i].end) +
+           ",\"start\":" + exact_number(reschedules[i].start) +
+           ",\"end\":" + exact_number(reschedules[i].end) +
            ",\"embed\":" + encode_embedding(reschedules[i].embedding) + "}";
   }
   out += "],\"embeds\":[";
@@ -303,67 +270,22 @@ bool record_after_state(const AdmissionEngine::Snapshot& state,
   return version > state.version;
 }
 
-struct FileLines {
-  std::vector<std::string> lines;
-  bool last_terminated = true;
-};
-
-bool read_lines(const std::string& path, FileLines* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  std::size_t begin = 0;
-  while (begin < content.size()) {
-    const std::size_t end = content.find('\n', begin);
-    if (end == std::string::npos) {
-      out->lines.push_back(content.substr(begin));
-      out->last_terminated = false;
-      break;
-    }
-    out->lines.push_back(content.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return true;
-}
-
-void check_header(const JsonValue& header, const char* magic_key,
-                  std::uint64_t fingerprint, const std::string& source) {
-  const std::string& magic = string_member(header, magic_key, source, 1);
-  if (magic != "tvnep-serve")
-    throw ParseError(source, 1, 0, "not a tvnep-serve state file");
-  const auto version =
-      static_cast<int>(number_member(header, "version", source, 1));
-  if (version != kWalVersion)
-    throw ParseError(source, 1, 0,
-                     "state format version " + std::to_string(version) +
-                         " (this build reads " + std::to_string(kWalVersion) +
-                         ")");
-  const std::string& hex = string_member(header, "fingerprint", source, 1);
-  if (hex != fingerprint_hex(fingerprint))
-    throw ParseError(source, 1, 0,
-                     "config fingerprint " + hex + " does not match " +
-                         fingerprint_hex(fingerprint) +
-                         " (substrate or admission options changed; refusing "
-                         "to resume)");
-}
-
 /// Loads one snapshot generation. Returns false on damage (caller falls
 /// back to an older generation); throws ParseError on a fingerprint or
 /// format-version mismatch (an incompatible resume must be refused, not
 /// silently ignored).
 bool load_snapshot(const std::string& path, std::uint64_t fingerprint,
                    AdmissionEngine::Snapshot* out) {
-  FileLines file;
-  if (!read_lines(path, &file) || file.lines.empty()) return false;
+  std::vector<std::string> lines;
+  bool terminated = true;
+  if (!read_lines(path, &lines, &terminated) || lines.empty()) return false;
   JsonValue header;
   try {
-    header = parse_json(file.lines[0], path, 1);
+    header = parse_json(lines[0], path, 1);
   } catch (const ParseError&) {
     return false;  // damaged header: try an older generation
   }
-  check_header(header, "snapshot", fingerprint, path);
+  check_journal_header(header, kSnapshotFormat, fingerprint, path);
   try {
     AdmissionEngine::Snapshot state;
     state.version = uint_member(header, "engine_version", path, 1);
@@ -373,15 +295,13 @@ bool load_snapshot(const std::string& path, std::uint64_t fingerprint,
     state.decisions = uint_member(header, "decisions", path, 1);
     const auto active = uint_member(header, "active", path, 1);
     const auto retired = uint_member(header, "retired", path, 1);
-    if (!file.last_terminated ||
-        file.lines.size() != 1 + active + retired)
+    if (!terminated || lines.size() != 1 + active + retired)
       return false;  // truncated: AtomicFile should prevent this, but trust
                      // nothing at recovery time
     for (std::uint64_t i = 0; i < active + retired; ++i) {
       const long line = static_cast<long>(i) + 2;
       Commit commit = decode_commit(
-          parse_json(file.lines[static_cast<std::size_t>(line - 1)], path,
-                     line),
+          parse_json(lines[static_cast<std::size_t>(line - 1)], path, line),
           path, line);
       (i < active ? state.commits : state.retired)
           .push_back(std::move(commit));
@@ -395,33 +315,27 @@ bool load_snapshot(const std::string& path, std::uint64_t fingerprint,
 
 }  // namespace
 
-std::string wal_number(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
 std::string encode_commit(const Commit& commit) {
   const net::VnetRequest& request = commit.original;
   std::string out = "{\"seq\":" + std::to_string(commit.seq) +
                     ",\"id\":" + json_quote(commit.id) +
                     ",\"fp\":" + (commit.fastpath ? "true" : "false") +
-                    ",\"start\":" + wal_number(commit.start) +
-                    ",\"end\":" + wal_number(commit.end) +
+                    ",\"start\":" + exact_number(commit.start) +
+                    ",\"end\":" + exact_number(commit.end) +
                     ",\"req\":{\"name\":" + json_quote(request.name()) +
-                    ",\"ts\":" + wal_number(request.earliest_start()) +
-                    ",\"te\":" + wal_number(request.latest_end()) +
-                    ",\"d\":" + wal_number(request.duration()) + ",\"nodes\":[";
+                    ",\"ts\":" + exact_number(request.earliest_start()) +
+                    ",\"te\":" + exact_number(request.latest_end()) +
+                    ",\"d\":" + exact_number(request.duration()) + ",\"nodes\":[";
   for (int v = 0; v < request.num_nodes(); ++v) {
     if (v != 0) out += ',';
-    out += wal_number(request.node_demand(v));
+    out += exact_number(request.node_demand(v));
   }
   out += "],\"links\":[";
   for (int e = 0; e < request.num_links(); ++e) {
     if (e != 0) out += ',';
     const net::VirtualLink& link = request.link(e);
     out += "[" + std::to_string(link.from) + "," + std::to_string(link.to) +
-           "," + wal_number(link.demand) + "]";
+           "," + exact_number(link.demand) + "]";
   }
   out += "]}";
   if (commit.mapping.has_value()) {
@@ -485,12 +399,12 @@ std::uint64_t serve_state_fingerprint(const net::SubstrateNetwork& substrate,
   std::string spec = "wal=" + std::to_string(kWalVersion) +
                      ";nodes=" + std::to_string(substrate.num_nodes()) + ";";
   for (int v = 0; v < substrate.num_nodes(); ++v)
-    spec += wal_number(substrate.node_capacity(v)) + ",";
+    spec += exact_number(substrate.node_capacity(v)) + ",";
   spec += ";links=" + std::to_string(substrate.num_links()) + ";";
   for (int e = 0; e < substrate.num_links(); ++e) {
     const net::SubstrateLink& link = substrate.link(e);
     spec += std::to_string(link.from) + ">" + std::to_string(link.to) + "=" +
-            wal_number(link.capacity) + ",";
+            exact_number(link.capacity) + ",";
   }
   spec += ";max_step=" + std::to_string(options.max_step_requests) +
           ";gc=" + std::to_string(options.gc ? 1 : 0);
@@ -524,7 +438,6 @@ std::unique_ptr<Wal> Wal::open(const std::string& dir,
   namespace fs = std::filesystem;
   std::unique_ptr<Wal> wal(new Wal);
   wal->dir_ = dir;
-  wal->log_path_ = dir + "/" + kLogName;
   wal->fingerprint_ = fingerprint;
   wal->options_ = std::move(options);
 
@@ -558,63 +471,39 @@ std::unique_ptr<Wal> Wal::open(const std::string& dir,
     }
   }
 
-  // 2. Replay the log tail. A record is applied iff its
-  // (decisions, version) pair postdates the state built so far; the final
-  // line may be torn (crash mid-append) and is then dropped and repaired
-  // on disk. Corruption anywhere else is real damage and refuses.
+  // 2. Replay the log tail. The journal has already dropped (and repaired
+  // on disk) a torn final record; a record is applied iff its
+  // (decisions, version) pair postdates the state built so far.
+  JournalOptions journal_options;
+  journal_options.sync_every = wal->options_.fsync == WalOptions::Fsync::kEvery
+                                   ? 1
+                                   : wal->options_.batch_records;
+  journal_options.fault_hook = wal->options_.fault_hook;
+  const std::string log_path = dir + "/" + kLogName;
+  std::vector<JournalRecord> records;
+  wal->journal_ = Journal::open(log_path, kLogFormat, fingerprint,
+                                std::move(journal_options), &records);
+  if (wal->journal_->existed()) result.had_state = true;
   std::uint64_t last_txid = 0;
-  bool torn = false;
-  FileLines log;
-  if (read_lines(wal->log_path_, &log) && !log.lines.empty()) {
-    result.had_state = true;
-    check_header(parse_json(log.lines[0], wal->log_path_, 1), "wal",
-                 fingerprint, wal->log_path_);
-    std::vector<std::string> surviving(log.lines.begin(), log.lines.begin() + 1);
-    for (std::size_t i = 1; i < log.lines.size(); ++i) {
-      const long line = static_cast<long>(i) + 1;
-      const bool last = i + 1 == log.lines.size();
-      if (log.lines[i].empty() && last) break;  // trailing newline artifact
-      JsonValue record;
-      try {
-        record = parse_json(log.lines[i], wal->log_path_, line);
-      } catch (const ParseError&) {
-        if (!last) throw;
-        torn = true;
-        break;
-      }
-      if (last && !log.last_terminated) {
-        // Fully parseable but unterminated: the append's write() never
-        // completed, so the decision was never acknowledged. Drop it.
-        torn = true;
-        break;
-      }
-      const std::uint64_t txid =
-          uint_member(record, "txid", wal->log_path_, line);
-      if (txid <= last_txid && last_txid != 0)
-        throw ParseError(wal->log_path_, line, 0, "txid not increasing");
-      last_txid = txid;
-      const std::uint64_t decisions =
-          uint_member(record, "decisions", wal->log_path_, line);
-      const std::uint64_t version =
-          uint_member(record, "version", wal->log_path_, line);
-      if (record_after_state(result.state, decisions, version)) {
-        apply_record(&result.state, record, wal->log_path_, line);
-        ++wal->stats_.replayed;
-      }
-      surviving.push_back(log.lines[i]);
+  for (const JournalRecord& record : records) {
+    const std::uint64_t txid =
+        uint_member(record.value, "txid", log_path, record.line);
+    if (txid <= last_txid && last_txid != 0)
+      throw ParseError(log_path, record.line, 0, "txid not increasing");
+    last_txid = txid;
+    const std::uint64_t decisions =
+        uint_member(record.value, "decisions", log_path, record.line);
+    const std::uint64_t version =
+        uint_member(record.value, "version", log_path, record.line);
+    if (record_after_state(result.state, decisions, version)) {
+      apply_record(&result.state, record.value, log_path, record.line);
+      ++wal->stats_.replayed;
     }
-    if (torn) {
-      std::string repaired;
-      for (const std::string& line : surviving) repaired += line + "\n";
-      TVNEP_REQUIRE(atomic_write_file(wal->log_path_, repaired),
-                    "cannot repair torn WAL tail at " + wal->log_path_);
-      ++wal->stats_.torn_repaired;
-      obs::counter_add("serve.wal.torn_repaired");
-    }
-  } else {
-    TVNEP_REQUIRE(
-        atomic_write_file(wal->log_path_, log_header(fingerprint) + "\n"),
-        "cannot initialize WAL at " + wal->log_path_);
+  }
+  const bool torn = wal->journal_->torn_repaired();
+  if (torn) {
+    ++wal->stats_.torn_repaired;
+    obs::counter_add("serve.wal.torn_repaired");
   }
   if (wal->stats_.replayed > 0)
     obs::counter_add("serve.wal.replayed",
@@ -626,11 +515,7 @@ std::unique_ptr<Wal> Wal::open(const std::string& dir,
   wal->next_txid_ = std::max({last_txid + 1, result.state.decisions + 1,
                               max_snapshot_tag + 1});
 
-  // 3. Open the appender.
-  wal->fd_ = ::open(wal->log_path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  TVNEP_REQUIRE(wal->fd_ >= 0, "cannot open WAL appender at " + wal->log_path_);
-
-  // 4. Compact what was replayed into a fresh snapshot, so a crash loop
+  // 3. Compact what was replayed into a fresh snapshot, so a crash loop
   // replays a bounded tail instead of an ever-growing one.
   if (wal->stats_.replayed > 0 || torn)
     (void)wal->write_snapshot_locked(result.state);
@@ -639,14 +524,7 @@ std::unique_ptr<Wal> Wal::open(const std::string& dir,
   return wal;
 }
 
-Wal::~Wal() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ >= 0) {
-    if (!dead_ && unsynced_records_ > 0) ::fsync(fd_);
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
+Wal::~Wal() = default;
 
 void Wal::attach(AdmissionEngine* engine) {
   engine->set_state_sink(
@@ -655,127 +533,47 @@ void Wal::attach(AdmissionEngine* engine) {
 
 bool Wal::on_transition(const StateTransition& txn) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (dead_) return false;
+  if (journal_->dead()) return false;
   const std::string line = txn.kind == StateTransition::Kind::kDecision
                                ? encode_decision(txn, next_txid_)
                                : encode_install(txn, next_txid_);
-  bool bytes_on_disk = false;
-  const bool durable = append_line_locked(line, &bytes_on_disk);
+  const AppendResult append = journal_->append(line);
+  if (append.written)
+    obs::histogram_observe("serve.wal.append_ms", append.write_seconds * 1e3);
+  if (append.synced) {
+    obs::histogram_observe("serve.wal.fsync_ms", append.fsync_seconds * 1e3);
+    ++stats_.fsyncs;
+    obs::counter_add("serve.wal.fsyncs");
+  }
+  if (append.io_error) count_io_error();
+  if (append.durable) {
+    ++stats_.appends;
+    obs::counter_add("serve.wal.appends");
+  }
   // The txid advances whenever bytes reached the log — a record whose
   // fsync failed is on disk (and will replay) even though it is not
   // durable; reusing its txid would make the next record violate the
   // strictly-increasing invariant recovery enforces.
-  if (bytes_on_disk) {
+  if (append.bytes_on_disk) {
     ++next_txid_;
     if (txn.kind == StateTransition::Kind::kDecision)
       ++decisions_since_snapshot_;
   }
-  return durable;
+  return append.durable;
 }
 
 WalFault Wal::fault_at(const char* point) {
   return options_.fault_hook ? options_.fault_hook(point) : WalFault::kNone;
 }
 
-bool Wal::append_line_locked(const std::string& line, bool* bytes_on_disk) {
-  *bytes_on_disk = false;
-  if (dead_ || fd_ < 0) return false;
-  switch (fault_at("append.before_write")) {
-    case WalFault::kCrash: dead_ = true; return false;
-    case WalFault::kEio:
-      ++stats_.io_errors;
-      obs::counter_add("serve.wal.io_errors");
-      return false;
-    default: break;
-  }
-  std::string payload = line;
-  payload += '\n';
-  const WalFault write_fault = fault_at("append.write");
-  if (write_fault == WalFault::kCrash) {
-    dead_ = true;
-    return false;
-  }
-  if (write_fault == WalFault::kShortWrite) {
-    // Crash mid-write: half the record lands, no newline — exactly the
-    // torn tail that recovery must drop and repair.
-    (void)!::write(fd_, payload.data(), payload.size() / 2);
-    *bytes_on_disk = true;
-    dead_ = true;
-    return false;
-  }
-  if (write_fault == WalFault::kEio) {
-    ++stats_.io_errors;
-    obs::counter_add("serve.wal.io_errors");
-    return false;
-  }
-  Stopwatch append_watch;
-  const ssize_t written = ::write(fd_, payload.data(), payload.size());
-  if (written != static_cast<ssize_t>(payload.size())) {
-    // Roll a real partial append back so the next record cannot splice
-    // into it; if even that fails, take the log out of service (recovery
-    // will repair the torn tail) rather than corrupt it further.
-    bool rolled_back = false;
-    if (written > 0) {
-      struct stat st;
-      if (::fstat(fd_, &st) == 0 &&
-          ::ftruncate(fd_, st.st_size - written) == 0)
-        rolled_back = true;
-    } else if (written == 0) {
-      rolled_back = true;
-    }
-    if (!rolled_back) {
-      dead_ = true;
-      *bytes_on_disk = true;  // a torn prefix is on disk; burn its txid
-    }
-    ++stats_.io_errors;
-    obs::counter_add("serve.wal.io_errors");
-    return false;
-  }
-  *bytes_on_disk = true;
-  obs::histogram_observe("serve.wal.append_ms", append_watch.seconds() * 1e3);
-  if (fault_at("append.after_write") == WalFault::kCrash) {
-    dead_ = true;
-    return false;
-  }
-  ++unsynced_records_;
-  if (options_.fsync == WalOptions::Fsync::kEvery ||
-      unsynced_records_ >= options_.batch_records) {
-    if (!sync_locked("append.fsync")) return false;
-  }
-  if (fault_at("append.after_fsync") == WalFault::kCrash) {
-    dead_ = true;
-    return false;
-  }
-  ++stats_.appends;
-  obs::counter_add("serve.wal.appends");
-  return true;
-}
-
-bool Wal::sync_locked(const char* point) {
-  switch (fault_at(point)) {
-    case WalFault::kCrash: dead_ = true; return false;
-    case WalFault::kEio:
-      ++stats_.io_errors;
-      obs::counter_add("serve.wal.io_errors");
-      return false;
-    default: break;
-  }
-  Stopwatch fsync_watch;
-  if (::fsync(fd_) != 0) {
-    ++stats_.io_errors;
-    obs::counter_add("serve.wal.io_errors");
-    return false;
-  }
-  obs::histogram_observe("serve.wal.fsync_ms", fsync_watch.seconds() * 1e3);
-  ++stats_.fsyncs;
-  obs::counter_add("serve.wal.fsyncs");
-  unsynced_records_ = 0;
-  return true;
+void Wal::count_io_error() {
+  ++stats_.io_errors;
+  obs::counter_add("serve.wal.io_errors");
 }
 
 bool Wal::wants_snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return !dead_ && options_.snapshot_every > 0 &&
+  return !journal_->dead() && options_.snapshot_every > 0 &&
          decisions_since_snapshot_ >= options_.snapshot_every;
 }
 
@@ -785,13 +583,10 @@ bool Wal::write_snapshot(const AdmissionEngine::Snapshot& state) {
 }
 
 bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
-  if (dead_) return false;
+  if (journal_->dead()) return false;
   switch (fault_at("snapshot.before_write")) {
-    case WalFault::kCrash: dead_ = true; return false;
-    case WalFault::kEio:
-      ++stats_.io_errors;
-      obs::counter_add("serve.wal.io_errors");
-      return false;
+    case WalFault::kCrash: journal_->kill(); return false;
+    case WalFault::kEio: count_io_error(); return false;
     default: break;
   }
   const std::uint64_t tag = next_txid_;
@@ -800,7 +595,7 @@ bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
                 << ",\"fingerprint\":\"" << fingerprint_hex(fingerprint_)
                 << "\",\"txid\":" << tag
                 << ",\"engine_version\":" << state.version
-                << ",\"now\":" << wal_number(state.now)
+                << ",\"now\":" << exact_number(state.now)
                 << ",\"next_seq\":" << state.next_seq
                 << ",\"accepted\":" << state.accepted_total
                 << ",\"decisions\":" << state.decisions
@@ -811,8 +606,7 @@ bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
   for (const Commit& commit : state.retired)
     file.stream() << encode_commit(commit) << "\n";
   if (!file.commit()) {
-    ++stats_.io_errors;
-    obs::counter_add("serve.wal.io_errors");
+    count_io_error();
     return false;
   }
   ++stats_.snapshots;
@@ -821,25 +615,14 @@ bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
   if (fault_at("snapshot.after_write") == WalFault::kCrash) {
     // The snapshot is durable; the stale log is harmless — replay skips
     // records the snapshot already reflects.
-    dead_ = true;
+    journal_->kill();
     return false;
   }
-  // Compact: reset the log to a bare header and reopen the appender (the
-  // rename left fd_ pointing at the replaced inode).
-  if (!atomic_write_file(log_path_, log_header(fingerprint_) + "\n")) {
-    ++stats_.io_errors;
-    obs::counter_add("serve.wal.io_errors");
+  // Compact: reset the log to a bare header.
+  if (!journal_->reset()) {
+    count_io_error();
     return true;  // snapshot still landed
   }
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = ::open(log_path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd_ < 0) {
-    dead_ = true;
-    ++stats_.io_errors;
-    obs::counter_add("serve.wal.io_errors");
-    return true;
-  }
-  unsynced_records_ = 0;
   // Prune old generations, newest options_.snapshots_kept survive.
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -855,13 +638,13 @@ bool Wal::write_snapshot_locked(const AdmissionEngine::Snapshot& state) {
            std::max(options_.snapshots_kept, 1));
        i < names.size(); ++i)
     fs::remove(dir_ + "/" + names[i], ec);
-  if (fault_at("snapshot.after_compact") == WalFault::kCrash) dead_ = true;
+  if (fault_at("snapshot.after_compact") == WalFault::kCrash) journal_->kill();
   return true;
 }
 
 bool Wal::crashed() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return dead_;
+  return journal_->dead();
 }
 
 WalStats Wal::stats() const {

@@ -41,18 +41,17 @@
 #include <vector>
 
 #include "serve/admission.hpp"
+#include "support/journal.hpp"
 #include "tvnep/solution.hpp"
 
 namespace tvnep::serve {
 
-class JsonValue;
-
-/// Injected fault at a named WAL point. kCrash stops all further bytes
-/// from reaching disk (the in-process analogue of dying at that instant);
-/// kShortWrite writes a torn prefix of the record then crashes; kEio
-/// fails the operation (counted, survivable — durability degrades,
-/// service does not).
-enum class WalFault { kNone, kCrash, kShortWrite, kEio };
+/// Injected fault at a named WAL point (support/journal). kCrash stops all
+/// further bytes from reaching disk (the in-process analogue of dying at
+/// that instant); kShortWrite writes a torn prefix of the record then
+/// crashes; kEio fails the operation (counted, survivable — durability
+/// degrades, service does not).
+using WalFault = JournalFault;
 
 struct WalOptions {
   enum class Fsync { kEvery, kBatch };
@@ -68,9 +67,10 @@ struct WalOptions {
   int snapshots_kept = 2;
   /// Deterministic crash/fault seam; called at the named kill points
   /// "append.before_write", "append.write", "append.after_write",
-  /// "append.fsync", "append.after_fsync", "snapshot.before_write",
-  /// "snapshot.after_write", "snapshot.after_compact". Compiled always,
-  /// like SimplexOptions::fault_hook.
+  /// "append.fsync", "append.after_fsync" (fired by the journal),
+  /// "snapshot.before_write", "snapshot.after_write",
+  /// "snapshot.after_compact". Compiled always, like
+  /// SimplexOptions::fault_hook.
   std::function<WalFault(const char* point)> fault_hook;
 };
 
@@ -137,34 +137,22 @@ class Wal {
  private:
   Wal() = default;
 
-  /// Appends and (per the fsync mode) syncs one line. Returns durability;
-  /// `*bytes_on_disk` reports whether the line's bytes reached the file
-  /// even when not durable (fsync failure, post-write crash) — the caller
-  /// must then still burn the txid the line was written with.
-  bool append_line_locked(const std::string& line, bool* bytes_on_disk);
-  bool sync_locked(const char* point);
   bool write_snapshot_locked(const AdmissionEngine::Snapshot& state);
   WalFault fault_at(const char* point);
+  void count_io_error();
 
   std::string dir_;
-  std::string log_path_;
   std::uint64_t fingerprint_ = 0;
   WalOptions options_;
 
   mutable std::mutex mutex_;
-  int fd_ = -1;
-  bool dead_ = false;
+  std::unique_ptr<Journal> journal_;  // wal.jsonl; dead once crashed
   std::uint64_t next_txid_ = 1;
-  int unsynced_records_ = 0;
   int decisions_since_snapshot_ = 0;
   WalStats stats_;
 };
 
 // ----- codec + recovery helpers (exposed for tests and --dump-state) -----
-
-/// %.17g: re-reads to the identical double, so recovered schedules and
-/// flows compare byte-exact against the uninterrupted run.
-std::string wal_number(double value);
 
 /// One commit as a JSON object (schedule, original request, mapping,
 /// stored embedding) — the record payload shared by WAL and snapshots.

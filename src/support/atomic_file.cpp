@@ -62,15 +62,4 @@ bool atomic_write_file(const std::string& path, const std::string& content) {
   return file.commit();
 }
 
-bool durable_append_line(const std::string& path, const std::string& line) {
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) return false;
-  bool ok = line.empty() ||
-            std::fwrite(line.data(), 1, line.size(), file) == line.size();
-  ok = (std::fputc('\n', file) != EOF) && ok;
-  ok = flush_and_sync(file) && ok;
-  ok = (std::fclose(file) == 0) && ok;
-  return ok;
-}
-
 }  // namespace tvnep

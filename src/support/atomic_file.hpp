@@ -2,8 +2,8 @@
 // fsync it, then rename() it over the destination. A crash at any point
 // leaves either the complete old file or the complete new file on disk —
 // never a half-written export. The sweep CSVs, the obs trace/metrics
-// exports and the checkpoint journal header all go through this helper so
-// an interrupted run can always trust what it finds on restart.
+// exports, WAL snapshots and journal headers all go through this helper
+// so an interrupted run can always trust what it finds on restart.
 #pragma once
 
 #include <sstream>
@@ -41,11 +41,5 @@ class AtomicFile {
 
 /// One-shot convenience: atomically replaces `path` with `content`.
 bool atomic_write_file(const std::string& path, const std::string& content);
-
-/// Durably appends `line` (a newline is added) to the file at `path`:
-/// write + flush + fsync before returning, so a record that this function
-/// reported as written survives an immediate SIGKILL or power loss. Used
-/// for the per-cell checkpoint journal. Returns false on any I/O error.
-bool durable_append_line(const std::string& path, const std::string& line);
 
 }  // namespace tvnep

@@ -1,35 +1,32 @@
 // The crash-safe sweep journal: durable append + resume round-trips, torn
 // final-line tolerance, fingerprint refusal across incompatible configs,
-// and end-to-end sweep resume that re-solves only the unjournaled cells
-// with outcomes identical to an uninterrupted run.
+// end-to-end sweep resume that re-solves only the unjournaled cells with
+// outcomes identical to an uninterrupted run, and on-disk compatibility
+// with a committed journal written by the pre-support/journal format.
 #include "eval/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "eval/runner.hpp"
 #include "support/parse_error.hpp"
+#include "temp_dir.hpp"
 
 namespace tvnep::eval {
 namespace {
 
 class CheckpointTest : public ::testing::Test {
  protected:
-  void TearDown() override { std::remove(path_.c_str()); }
-  // Unique per test: ctest runs the cases of this binary as concurrent
-  // processes in one working directory, so a shared journal path would
-  // make parallel runs clobber each other's files.
-  const std::string path_ =
-      std::string("checkpoint_test_") +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-      ".jsonl";
+  TempDir dir_;
+  const std::string path_ = dir_.file("journal.jsonl");
 };
 
 SweepConfig tiny_config() {
@@ -150,6 +147,39 @@ TEST_F(CheckpointTest, TornFinalLineIsRepairedOnDisk) {
   EXPECT_EQ(again->loaded(), 2u);
   EXPECT_NE(again->find(a.key), nullptr);
   EXPECT_NE(again->find(b.key), nullptr);
+}
+
+TEST_F(CheckpointTest, UnterminatedFinalRecordIsDroppedAndRepaired) {
+  // A final record that parses but lacks its newline is an append whose
+  // write never completed. Keeping it in place let the next append
+  // concatenate onto it, and the following resume then dropped the merged
+  // line — losing both completed cells.
+  CellRecord a;
+  a.key = {"m", 0, 1};
+  a.fields["x"] = JournalValue(1.0);
+  CellRecord b = a;
+  b.key.seed = 2;
+  {
+    auto journal = SweepJournal::create(path_, 3);
+    ASSERT_TRUE(journal->append(a));
+  }
+  std::string content = read_all(path_);
+  ASSERT_EQ(content.back(), '\n');
+  content.pop_back();
+  {
+    std::ofstream out(path_, std::ios::trunc);
+    out << content;
+  }
+
+  auto resumed = SweepJournal::resume(path_, 3);
+  EXPECT_EQ(resumed->loaded(), 0u);  // never acknowledged: re-solved
+  ASSERT_TRUE(resumed->append(a));
+  ASSERT_TRUE(resumed->append(b));
+  auto again = SweepJournal::resume(path_, 3);
+  EXPECT_EQ(again->loaded(), 2u);
+  EXPECT_NE(again->find(a.key), nullptr);
+  EXPECT_NE(again->find(b.key), nullptr);
+  EXPECT_EQ(read_all(path_).back(), '\n');
 }
 
 TEST_F(CheckpointTest, MalformedMiddleLineIsFatal) {
@@ -412,6 +442,62 @@ TEST_F(CheckpointTest, ResumingIncompatibleSweepConfigThrows) {
   changed.lp_fault_period = 40;
   EXPECT_THROW(SweepJournal::resume(path_, sweep_fingerprint(changed, "t")),
                ParseError);
+}
+
+// The hashes a journal's identity rests on, pinned to the values the
+// pre-support/journal code computed: a change here orphans every journal
+// on disk.
+TEST_F(CheckpointTest, HashesArePinnedAcrossVersions) {
+  EXPECT_EQ(cell_key_hash({"cSigma", 1, 2}), 0x259768d64b0d5e70ull);
+  EXPECT_EQ(sweep_fingerprint(tiny_config(), "fixture"),
+            0x409d24d921e47467ull);
+}
+
+// tests/fixtures/sweep_journal_v1.jsonl was written by the pre-
+// support/journal code: a tiny_config() cSigma sweep under bench id
+// "fixture". It must resume with every record intact and re-serialize
+// byte-identically, and a sweep over it must solve nothing.
+TEST_F(CheckpointTest, ResumesCommittedV1JournalFixture) {
+  const std::string fixture =
+      std::string(TVNEP_FIXTURE_DIR) + "/sweep_journal_v1.jsonl";
+  std::filesystem::copy_file(fixture, path_);
+  SweepConfig config = tiny_config();
+  const std::uint64_t fingerprint = sweep_fingerprint(config, "fixture");
+  config.journal = SweepJournal::resume(path_, fingerprint);
+  ASSERT_EQ(config.journal->loaded(), 4u);
+
+  std::istringstream lines(read_all(fixture));
+  std::string line;
+  std::getline(lines, line);  // header
+  std::vector<std::string> records;
+  while (std::getline(lines, line)) records.push_back(line);
+  ASSERT_EQ(records.size(), 4u);
+  for (const std::string& record : records) {
+    const std::size_t flex = record.find("\"flex_index\":") + 13;
+    const std::size_t seed = record.find("\"seed\":") + 7;
+    const CellKey key{"csigma", std::stoi(record.substr(flex)),
+                      std::stoi(record.substr(seed))};
+    const CellRecord* got = config.journal->find(key);
+    ASSERT_NE(got, nullptr) << record;
+    EXPECT_EQ(journal_record_json(*got), record);
+  }
+
+  std::atomic<int> solves{0};
+  config.solve_override = [&](const net::TvnepInstance& instance,
+                              core::ModelKind kind,
+                              const core::SolveParams& params) {
+    ++solves;
+    return core::solve(instance, kind, params);
+  };
+  const auto outcomes = run_model_sweep(config, core::ModelKind::kCSigma);
+  EXPECT_EQ(solves.load(), 0);
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (const ScenarioOutcome& outcome : outcomes) {
+    EXPECT_TRUE(outcome.resumed);
+    EXPECT_EQ(outcome.result.status, mip::MipStatus::kOptimal);
+  }
+  EXPECT_EQ(outcomes[0].result.objective, 20.023139768120831);
+  EXPECT_EQ(outcomes[1].result.objective, 13.932022051251732);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -16,6 +15,7 @@
 #include "obs/trace.hpp"
 #include "obs/tree_log.hpp"
 #include "support/parallel.hpp"
+#include "temp_dir.hpp"
 
 namespace tvnep {
 namespace {
@@ -122,7 +122,8 @@ TEST_F(ObsConcurrentTest, SpansRecordOncePerWorkerItem) {
 }
 
 TEST_F(ObsConcurrentTest, TreeLogSerializesConcurrentWriters) {
-  const std::string path = "obs_test_tree_log.jsonl";
+  const TempDir dir;
+  const std::string path = dir.file("obs_test_tree_log.jsonl");
   {
     obs::TreeLog log(path);
     ASSERT_TRUE(log.ok());
@@ -151,7 +152,6 @@ TEST_F(ObsConcurrentTest, TreeLogSerializesConcurrentWriters) {
     }
     EXPECT_EQ(lines, kRecords);
   }
-  std::remove(path.c_str());
 }
 
 TEST_F(ObsTest, InactiveSubsystemsRecordNothing) {
@@ -231,7 +231,8 @@ TEST_F(ObsTest, MetricsJsonRoundTripsThroughFile) {
   obs::gauge_set("test.level", 0.5);
   obs::histogram_observe("test.h", 2.0);
   obs::Metrics::instance().stop();
-  const std::string path = "obs_test_metrics.json";
+  const TempDir dir;
+  const std::string path = dir.file("obs_test_metrics.json");
   ASSERT_TRUE(obs::Metrics::instance().write_json(path));
   std::ifstream in(path);
   std::stringstream buffer;
@@ -240,7 +241,6 @@ TEST_F(ObsTest, MetricsJsonRoundTripsThroughFile) {
   EXPECT_NE(text.find("\"test.count\""), std::string::npos);
   EXPECT_NE(text.find("\"test.level\""), std::string::npos);
   EXPECT_NE(text.find("\"test.h\""), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -198,6 +198,31 @@ TEST(ServeDaemon, MalformedLinesAnswerErrorsWithoutKillingTheStream) {
   }
 }
 
+TEST(ServeDaemon, DeeplyNestedLineAnswersAnErrorAndKeepsServing) {
+  // One 30 KB line of nested brackets used to overflow the reader thread's
+  // stack and take the daemon down; it must be one more protocol error.
+  Pipes pipes;
+  Daemon daemon(net::make_grid(4, 5, 3.5, 5.0), fast_options());
+  std::thread server(
+      [&] { daemon.serve(pipes.in[0], pipes.out[1]); });
+
+  std::string payload =
+      "{\"type\":\"request\",\"x\":" + std::string(30000, '[') + "\n";
+  payload += std::string(30000, '{') + "\n";
+  payload += "{\"type\":\"request\",\"id\":\"ok\",\"t_s\":0,\"t_e\":4,"
+             "\"d\":1,\"nodes\":[1.0]}\n";
+  payload += "{\"type\":\"drain\"}\n";
+  write_all(pipes.in[1], payload);
+  pipes.close_fd(pipes.in[1]);
+
+  const std::vector<JsonValue> replies = read_replies(pipes.out[0]);
+  server.join();
+  EXPECT_EQ(count_type(replies, "error"), 2);
+  EXPECT_EQ(count_type(replies, "decision"), 1);
+  EXPECT_EQ(count_type(replies, "bye"), 1);
+  EXPECT_EQ(daemon.decided_total(), 1);
+}
+
 TEST(ServeDaemon, OverloadShedsAndRejectsInsteadOfCrashing) {
   Pipes pipes;
   DaemonOptions options;

@@ -50,6 +50,33 @@ TEST(ServeJson, RejectsMalformedInputWithLocation) {
   }
 }
 
+TEST(ServeJson, NestingIsCappedAtTheDepthLimit) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(parse_json(nested(kMaxJsonDepth), "t").is_array());
+  EXPECT_THROW(parse_json(nested(kMaxJsonDepth + 1), "t"), ParseError);
+  // Objects count toward the same limit as arrays.
+  std::string mixed;
+  for (int i = 0; i < kMaxJsonDepth; ++i) mixed += "{\"k\":[";
+  EXPECT_THROW(parse_json(mixed, "t"), ParseError);
+}
+
+TEST(ServeProtocol, DeeplyNestedMessageIsAParseErrorNotACrash) {
+  // 30,000 unclosed '[' used to recurse once per bracket and overflow the
+  // reader thread's stack; now the parser stops at the cap.
+  const std::string line = "{\"type\":\"request\",\"x\":" +
+                           std::string(30000, '[');
+  try {
+    parse_message(line, "wire", 3);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos);
+  }
+}
+
 RequestMessage sample_request() {
   RequestMessage message;
   message.id = "R7";

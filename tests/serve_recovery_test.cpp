@@ -13,32 +13,21 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "net/topology.hpp"
 #include "serve/admission.hpp"
 #include "serve/wal.hpp"
+#include "temp_dir.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
 
 namespace tvnep::serve {
 namespace {
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/tvnep_rec_XXXXXX";
-    const char* made = ::mkdtemp(tmpl);
-    EXPECT_NE(made, nullptr);
-    path = made == nullptr ? "/tmp/tvnep_rec_fallback" : made;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
 
 workload::WorkloadParams matrix_params() {
   workload::WorkloadParams p;
@@ -66,13 +55,13 @@ net::SubstrateNetwork paper_grid(const workload::WorkloadParams& p) {
 /// made the identical call, not merely a similar one.
 std::string decision_key(const AdmitResult& r) {
   return std::to_string(static_cast<int>(r.outcome)) + "/" +
-         wal_number(r.start) + "/" + wal_number(r.end) + "/" +
+         exact_number(r.start) + "/" + exact_number(r.end) + "/" +
          std::to_string(r.component_size);
 }
 
 std::string encode_state(const AdmissionEngine::Snapshot& s) {
   std::string out = "v=" + std::to_string(s.version) +
-                    ";now=" + wal_number(s.now) +
+                    ";now=" + exact_number(s.now) +
                     ";next_seq=" + std::to_string(s.next_seq) +
                     ";accepted=" + std::to_string(s.accepted_total) +
                     ";decisions=" + std::to_string(s.decisions) + "\n";
@@ -378,6 +367,62 @@ TEST(ServeRecovery, ReplaysReoptimizerInstallRecords) {
   RecoveredState recovered;
   std::unique_ptr<Wal> wal = Wal::open(dir.path, fp, {}, &recovered);
   EXPECT_EQ(encode_state(recovered.state), live_state);
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// tests/fixtures/serve_state_v1 is a --state-dir written by the
+// pre-support/journal WAL: matrix_params() with snapshot_every 3, copied
+// after five decisions (a snapshot at decision 3 plus a two-record log
+// tail). The fingerprint must still match, recovery must rebuild those
+// five decisions, and the rest of the trace must re-decide exactly as the
+// run that wrote the fixture did (serve_state_v1_decisions.txt and
+// serve_state_v1_final.txt hold its decision keys and final state).
+TEST(ServeRecovery, ResumesCommittedV1StateDirFixture) {
+  const workload::WorkloadParams p = matrix_params();
+  const workload::ArrivalTrace trace = workload::make_trace(p);
+  const net::SubstrateNetwork substrate = paper_grid(p);
+  const std::uint64_t fp = serve_state_fingerprint(substrate, {});
+  EXPECT_EQ(fp, 0x9bd9f9f93cebab23ull);
+
+  const std::string fixtures = TVNEP_FIXTURE_DIR;
+  TempDir dir;
+  std::filesystem::copy(fixtures + "/serve_state_v1", dir.path);
+  const std::vector<std::string> reference =
+      read_lines(fixtures + "/serve_state_v1_decisions.txt");
+  ASSERT_EQ(reference.size(), trace.requests.size());
+
+  WalOptions options;
+  options.snapshot_every = kSnapshotEvery;
+  RecoveredState recovered;
+  std::unique_ptr<Wal> wal = Wal::open(dir.path, fp, options, &recovered);
+  EXPECT_TRUE(recovered.had_state);
+  EXPECT_TRUE(wal->stats().recovered_snapshot);
+  EXPECT_EQ(wal->stats().replayed, 2);
+  EXPECT_EQ(wal->stats().torn_repaired, 0);
+  ASSERT_EQ(recovered.state.decisions, 5u);
+  const core::ValidationResult check = validate_commit_state(
+      substrate, recovered.state.commits, recovered.state.retired);
+  EXPECT_TRUE(check.ok) << (check.errors.empty() ? "" : check.errors[0]);
+
+  AdmissionEngine engine(substrate, {});
+  engine.restore(recovered.state);
+  wal->attach(&engine);
+  std::vector<std::string> resumed;
+  drive(&engine, wal.get(), trace, 5, &resumed);
+  ASSERT_EQ(resumed.size(), trace.requests.size() - 5);
+  for (std::size_t i = 0; i < resumed.size(); ++i)
+    EXPECT_EQ(resumed[i], reference[5 + i]) << "request " << (5 + i);
+  std::ifstream final_state(fixtures + "/serve_state_v1_final.txt");
+  std::ostringstream expected;
+  expected << final_state.rdbuf();
+  EXPECT_EQ(encode_state(engine.snapshot_full()), expected.str());
+  engine.set_state_sink({});
 }
 
 }  // namespace

@@ -29,25 +29,12 @@
 #include "serve/json.hpp"
 #include "serve/net_util.hpp"
 #include "support/parse_error.hpp"
+#include "temp_dir.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
 
 namespace tvnep::serve {
 namespace {
-
-struct TempDir {
-  std::string path;
-  TempDir() {
-    char tmpl[] = "/tmp/tvnep_wal_XXXXXX";
-    const char* made = ::mkdtemp(tmpl);
-    EXPECT_NE(made, nullptr);
-    path = made == nullptr ? "/tmp/tvnep_wal_fallback" : made;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
 
 workload::WorkloadParams trace_params() {
   workload::WorkloadParams p;
@@ -75,7 +62,7 @@ net::SubstrateNetwork paper_grid(const workload::WorkloadParams& p) {
 /// equal iff the recovered engine would behave identically.
 std::string encode_state(const AdmissionEngine::Snapshot& s) {
   std::string out = "v=" + std::to_string(s.version) +
-                    ";now=" + wal_number(s.now) +
+                    ";now=" + exact_number(s.now) +
                     ";next_seq=" + std::to_string(s.next_seq) +
                     ";accepted=" + std::to_string(s.accepted_total) +
                     ";decisions=" + std::to_string(s.decisions) + "\n";
@@ -119,7 +106,7 @@ TEST(ServeWal, NumberCodecRoundTripsBitExactly) {
                            1e300,      3.141592653589793,
                            1234567.8901234567, -42.125};
   for (const double v : values) {
-    const std::string text = wal_number(v);
+    const std::string text = exact_number(v);
     const double back = std::strtod(text.c_str(), nullptr);
     EXPECT_EQ(std::memcmp(&v, &back, sizeof v), 0) << text;
   }

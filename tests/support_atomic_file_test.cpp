@@ -1,13 +1,14 @@
 // Atomic write-temp-then-rename semantics: a committed file is complete,
-// an uncommitted one never appears, and durable appends land line by line.
+// and an uncommitted one never appears.
 #include "support/atomic_file.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include "temp_dir.hpp"
 
 namespace tvnep {
 namespace {
@@ -21,8 +22,8 @@ std::string read_all(const std::string& path) {
 
 class AtomicFileTest : public ::testing::Test {
  protected:
-  void TearDown() override { std::remove(path_.c_str()); }
-  const std::string path_ = "atomic_file_test.txt";
+  TempDir dir_;
+  const std::string path_ = dir_.file("atomic_file_test.txt");
 };
 
 TEST_F(AtomicFileTest, CommitPublishesBufferedContent) {
@@ -53,7 +54,7 @@ TEST_F(AtomicFileTest, CommitReplacesExistingFileWhole) {
 }
 
 TEST_F(AtomicFileTest, CommitIntoMissingDirectoryFails) {
-  AtomicFile file("no_such_dir_xyz/out.txt");
+  AtomicFile file(dir_.file("no_such_dir_xyz/out.txt"));
   file.stream() << "content";
   EXPECT_FALSE(file.commit());
 }
@@ -61,12 +62,6 @@ TEST_F(AtomicFileTest, CommitIntoMissingDirectoryFails) {
 TEST_F(AtomicFileTest, AtomicWriteFileRoundTrips) {
   ASSERT_TRUE(atomic_write_file(path_, "payload\n"));
   EXPECT_EQ(read_all(path_), "payload\n");
-}
-
-TEST_F(AtomicFileTest, DurableAppendLineAccumulates) {
-  ASSERT_TRUE(durable_append_line(path_, "first"));
-  ASSERT_TRUE(durable_append_line(path_, "second"));
-  EXPECT_EQ(read_all(path_), "first\nsecond\n");
 }
 
 }  // namespace

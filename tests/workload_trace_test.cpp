@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 
 #include "support/parse_error.hpp"
+#include "temp_dir.hpp"
 #include "workload/generator.hpp"
 
 namespace tvnep::workload {
@@ -97,7 +97,8 @@ TEST(WorkloadTrace, WriteIsDeterministicAcrossCalls) {
 }
 
 TEST(WorkloadTrace, FileRoundTripViaSaveAndLoad) {
-  const std::string path = "workload_trace_test_roundtrip.trace";
+  const TempDir dir;
+  const std::string path = dir.file("workload_trace_test_roundtrip.trace");
   const ArrivalTrace trace = make_trace(small_params());
   save_trace(trace, path);
   const ArrivalTrace loaded = load_trace(path);
@@ -105,7 +106,6 @@ TEST(WorkloadTrace, FileRoundTripViaSaveAndLoad) {
   write_trace(trace, a);
   write_trace(loaded, b);
   EXPECT_EQ(a.str(), b.str());
-  std::remove(path.c_str());
 }
 
 TEST(WorkloadTrace, RejectsMissingHeader) {
