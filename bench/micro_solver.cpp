@@ -1,9 +1,11 @@
-// Micro-benchmarks of the substrate: simplex solves, warm restarts, MIP
-// knapsacks, dependency-graph construction and model building.
+// Micro-benchmarks of the substrate: simplex solves, warm restarts, basis
+// factorization, MIP knapsacks, dependency-graph construction and model
+// building.
 #include <benchmark/benchmark.h>
 
 #include <map>
 
+#include "linalg/lu.hpp"
 #include "lp/simplex.hpp"
 #include "mip/branch_and_bound.hpp"
 #include "obs/metrics.hpp"
@@ -114,6 +116,54 @@ BENCHMARK(BM_SimplexBasisBackend)
     ->Args({400, 0})
     ->Args({400, 1})
     ->Unit(benchmark::kMillisecond);
+
+// A simplex-shaped basis for the factorize pair: every column is the -1
+// slack of its own row except a `structural_pct` share of structural
+// columns, each a diagonal entry plus three off-diagonal entries at
+// seeded rows (the mix a basis has part-way through phase 1).
+linalg::BasisColumns lu_basis(int m, int structural_pct, std::uint64_t seed) {
+  Rng rng(seed);
+  linalg::BasisColumns b(m);
+  for (int c = 0; c < m; ++c) {
+    b.begin_column();
+    if (rng.uniform_int(0, 99) >= structural_pct) {
+      b.add(c, -1.0);
+      continue;
+    }
+    b.add(c, rng.uniform(1.0, 3.0));
+    for (int t = 0; t < 3; ++t) {
+      const int r = static_cast<int>(rng.uniform_int(0, m - 1));
+      if (r != c) b.add(r, rng.uniform(-1.0, 1.0));
+    }
+  }
+  return b;
+}
+
+// The factorize pair: time per SparseLuBasis::factorize at m in {500,
+// 2000, 8000} on the all-slack start basis and on a 30%-structural one.
+// One instance is refactorized across iterations, as the simplex does.
+void BM_SparseLuFactorize(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const linalg::BasisColumns basis =
+      lu_basis(m, static_cast<int>(state.range(1)), 42);
+  linalg::SparseLuBasis factor;
+  for (auto _ : state) {
+    if (!factor.factorize(basis)) {
+      state.SkipWithError("basis is singular");
+      break;
+    }
+  }
+  state.counters["fill"] = factor.fill_ratio();
+}
+BENCHMARK(BM_SparseLuFactorize)
+    ->ArgNames({"m", "structural_pct"})
+    ->Args({500, 0})
+    ->Args({500, 30})
+    ->Args({2000, 0})
+    ->Args({2000, 30})
+    ->Args({8000, 0})
+    ->Args({8000, 30})
+    ->Unit(benchmark::kMicrosecond);
 
 // The fixed-column pricing pair (bugfix: Dantzig pricing used to rescan
 // fixed lb == ub columns on every pass). 90% of the columns are fixed at

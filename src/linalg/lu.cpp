@@ -1,6 +1,7 @@
 #include "linalg/lu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -133,6 +134,76 @@ double LuFactorization::determinant() const {
 // SparseLuBasis
 // ---------------------------------------------------------------------------
 
+void SparseLuBasis::ColumnBuckets::reset(int m) {
+  const auto um = static_cast<std::size_t>(m);
+  words_ = (um + 63) / 64;
+  bits_.assign((kExact + 1) * words_, 0);
+  first_.fill(words_);
+  size_.fill(0);
+  nonempty_ = 0;
+  bucket_.assign(um, -1);
+}
+
+void SparseLuBasis::ColumnBuckets::set(int col, int count) {
+  const auto uc = static_cast<std::size_t>(col);
+  const int to = count <= 0 ? -1 : std::min(count, kExact + 1) - 1;
+  const int from = bucket_[uc];
+  if (to == from) return;
+  const std::size_t word = uc / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (uc % 64);
+  if (from >= 0) {
+    const auto uf = static_cast<std::size_t>(from);
+    bits_[uf * words_ + word] &= ~bit;
+    if (--size_[uf] == 0) nonempty_ &= ~(std::uint64_t{1} << from);
+  }
+  if (to >= 0) {
+    const auto ut = static_cast<std::size_t>(to);
+    bits_[ut * words_ + word] |= bit;
+    first_[ut] = std::min(first_[ut], word);
+    if (size_[ut]++ == 0) nonempty_ |= std::uint64_t{1} << to;
+  }
+  bucket_[uc] = to;
+}
+
+int SparseLuBasis::ColumnBuckets::lowest4(const std::vector<int>& counts,
+                                          int out[4]) {
+  int n = 0;
+  for (std::uint64_t mask = nonempty_; mask != 0 && n < 4; mask &= mask - 1) {
+    const int b = std::countr_zero(mask);
+    const auto ub = static_cast<std::size_t>(b);
+    const std::uint64_t* words = bits_.data() + ub * words_;
+    std::size_t& w = first_[ub];
+    while (words[w] == 0) ++w;  // the bucket is non-empty
+    if (b < kExact) {
+      // One count: ascending index is (count, index) order.
+      for (std::size_t v = w; v < words_ && n < 4; ++v)
+        for (std::uint64_t bits = words[v]; bits != 0 && n < 4;
+             bits &= bits - 1)
+          out[n++] = static_cast<int>(v * 64) + std::countr_zero(bits);
+      continue;
+    }
+    // The last bucket mixes counts: keep its lowest (count, index) keys.
+    std::uint64_t best[4] = {};
+    const int want = 4 - n;
+    int have = 0;
+    for (std::size_t v = w; v < words_; ++v)
+      for (std::uint64_t bits = words[v]; bits != 0; bits &= bits - 1) {
+        const int col = static_cast<int>(v * 64) + std::countr_zero(bits);
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(counts[static_cast<std::size_t>(col)])
+             << 32) |
+            static_cast<std::uint64_t>(col);
+        if (have == want && key >= best[want - 1]) continue;
+        int pos = (have < want) ? have++ : want - 1;
+        for (; pos > 0 && key < best[pos - 1]; --pos) best[pos] = best[pos - 1];
+        best[pos] = key;
+      }
+    for (int t = 0; t < have; ++t)
+      out[n++] = static_cast<int>(best[t] & 0xffffffffu);
+  }
+  return n;
+}
+
 bool SparseLuBasis::factorize(const BasisColumns& basis, LuFailure* failure) {
   const int m = basis.rows();
   TVNEP_REQUIRE(basis.cols() == m, "basis factorize: not square");
@@ -153,15 +224,23 @@ bool SparseLuBasis::factorize(const BasisColumns& basis, LuFailure* failure) {
   if (m == 0) return true;
   u_diag_.reserve(static_cast<std::size_t>(m));
 
-  // Row-major working copy of the active submatrix. `col_rows` lists the
-  // rows that may hold a column's entries — it is append-only per fill-in
-  // and tolerates stale rows (purged lazily during pivot search), while
-  // `col_count` is exact.
-  std::vector<std::vector<SparseEntry>> rows(static_cast<std::size_t>(m));
-  std::vector<std::vector<int>> col_rows(static_cast<std::size_t>(m));
-  std::vector<int> col_count(static_cast<std::size_t>(m), 0);
-  std::vector<char> row_active(static_cast<std::size_t>(m), 1);
-  std::vector<char> col_active(static_cast<std::size_t>(m), 1);
+  // Working copy of the active submatrix in the reused workspace (inner
+  // vectors keep their capacity from earlier factorizations).
+  const auto um = static_cast<std::size_t>(m);
+  auto& rows = rows_;
+  auto& col_rows = col_rows_;
+  auto& col_count = col_count_;
+  auto& row_active = row_active_;
+  auto& col_active = col_active_;
+  rows.resize(um);
+  col_rows.resize(um);
+  for (std::size_t i = 0; i < um; ++i) {
+    rows[i].clear();
+    col_rows[i].clear();
+  }
+  col_count.assign(um, 0);
+  row_active.assign(um, 1);
+  col_active.assign(um, 1);
   double amax = 0.0;
   for (int c = 0; c < m; ++c) {
     for (const auto& e : basis.column(c)) {
@@ -172,13 +251,18 @@ bool SparseLuBasis::factorize(const BasisColumns& basis, LuFailure* failure) {
     }
   }
   const double threshold = std::max(pivot_tol_, kRelativePivotTol * amax);
+  col_buckets_.reset(m);
+  for (int c = 0; c < m; ++c)
+    col_buckets_.set(c, col_count[static_cast<std::size_t>(c)]);
 
   // Dense merge accumulator (stamp-based so it never needs clearing).
-  std::vector<double> acc(static_cast<std::size_t>(m), 0.0);
-  std::vector<int> mark(static_cast<std::size_t>(m), -1);
+  auto& acc = acc_;
+  auto& mark = mark_;
+  auto& fill = fill_;
+  auto& col_buf = col_buf_;
+  acc.resize(um);
+  mark.assign(um, -1);
   int stamp = 0;
-  std::vector<int> fill;
-  std::vector<SparseEntry> col_buf;  // active entries of the scanned column
 
   for (int k = 0; k < m; ++k) {
     int best_row = -1;
@@ -234,23 +318,10 @@ bool SparseLuBasis::factorize(const BasisColumns& basis, LuFailure* failure) {
     };
 
     // Candidate preselection: the four active columns with the fewest
-    // entries. Falls back to a full scan when none of them admits a pivot.
+    // entries, ties to the lowest index. Falls back to a full scan when
+    // none of them admits a pivot.
     int cand[4];
-    int ncand = 0;
-    for (int q = 0; q < m; ++q) {
-      const auto uq = static_cast<std::size_t>(q);
-      if (!col_active[uq] || col_count[uq] == 0) continue;
-      if (ncand == 4 &&
-          col_count[uq] >= col_count[static_cast<std::size_t>(cand[3])])
-        continue;
-      int idx = (ncand < 4) ? ncand++ : 3;
-      while (idx > 0 &&
-             col_count[uq] < col_count[static_cast<std::size_t>(cand[idx - 1])]) {
-        cand[idx] = cand[idx - 1];
-        --idx;
-      }
-      cand[idx] = q;
-    }
+    const int ncand = col_buckets_.lowest4(col_count, cand);
     for (int t = 0; t < ncand; ++t) evaluate(cand[t]);
     if (best_row < 0) {
       for (int q = 0; q < m; ++q)
@@ -321,7 +392,10 @@ bool SparseLuBasis::factorize(const BasisColumns& basis, LuFailure* failure) {
         if (std::fabs(val) > kDropTol) {
           ri[w++] = {c, val};
         } else {
-          --col_count[static_cast<std::size_t>(c)];  // entry cancelled out
+          // Entry cancelled out; the column may lie outside the pivot row
+          // (a dropped input entry), so its bucket is refreshed here.
+          --col_count[static_cast<std::size_t>(c)];
+          col_buckets_.set(c, col_count[static_cast<std::size_t>(c)]);
         }
       }
       ri.resize(w);
@@ -338,8 +412,14 @@ bool SparseLuBasis::factorize(const BasisColumns& basis, LuFailure* failure) {
 
     row_active[static_cast<std::size_t>(p)] = 0;
     col_active[static_cast<std::size_t>(q)] = 0;
-    for (const auto& e : prow)
-      if (e.index != q) --col_count[static_cast<std::size_t>(e.index)];
+    col_buckets_.set(q, 0);
+    // Fill-in only lands in pivot-row columns, so refreshing their buckets
+    // brings every other count change of this stage into the buckets.
+    for (const auto& e : prow) {
+      if (e.index == q) continue;
+      --col_count[static_cast<std::size_t>(e.index)];
+      col_buckets_.set(e.index, col_count[static_cast<std::size_t>(e.index)]);
+    }
     prow.clear();
     col_rows[static_cast<std::size_t>(q)].clear();
   }

@@ -19,7 +19,9 @@
 //    explicit m×m inverse as a selectable debug/reference backend.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -129,6 +131,16 @@ class BasisFactorization {
 /// factors sparse, so FTRAN/BTRAN cost O(nnz(L+U) + nnz(etas)) instead of
 /// the dense inverse's O(m^2).
 ///
+/// The candidates of a stage are the first four active, non-empty columns
+/// in (count, index) order. They come from count buckets (one bitset per
+/// small count) that are updated only for the columns a stage touches, so
+/// the search costs O(1) per count change and near O(1) per stage instead
+/// of an O(m) scan; a full ascending scan remains the fallback when none
+/// of the four admits a pivot. The same candidates in the same order give
+/// the same pivot sequence and bit-identical factors. The elimination
+/// workspace is kept across factorizations, so a refactorization of the
+/// same order allocates nothing once warm. Memory is O(m + nnz).
+///
 /// Updates append sparse eta vectors (product form of the inverse); an
 /// update is refused — forcing a refactorization — when the eta pivot
 /// |alpha_r| < update_tol, when `max_updates` etas have accumulated, or
@@ -189,6 +201,45 @@ class SparseLuBasis final : public BasisFactorization {
   std::size_t eta_nnz_ = 0;
 
   mutable std::vector<double> scratch_;
+
+  // The active, non-empty columns bucketed by count: one bitset over the
+  // columns per count 1..kExact, one more for every larger count. Bucket
+  // moves are O(1); `lowest4` walks the non-empty buckets upward and each
+  // one's set bits in ascending index, which is (count, index) order, and
+  // sorts only the shared last bucket by its true counts. Memory is
+  // kExact + 1 bits plus one int per column.
+  class ColumnBuckets {
+   public:
+    void reset(int m);
+    void set(int col, int count);  // count <= 0 removes the column
+    // The first up-to-four columns in (count, index) order; `counts` are
+    // the exact counts (read only for columns past kExact).
+    int lowest4(const std::vector<int>& counts, int out[4]);
+
+   private:
+    static constexpr int kExact = 63;  // kExact + 1 buckets fit nonempty_
+    std::size_t words_ = 0;            // 64-bit words per bucket
+    std::vector<std::uint64_t> bits_;  // bucket b: [b*words_, (b+1)*words_)
+    std::array<std::size_t, kExact + 1> first_{};  // no set bit below this
+    std::array<int, kExact + 1> size_{};           // columns per bucket
+    std::uint64_t nonempty_ = 0;  // bit b set iff bucket b is non-empty
+    std::vector<int> bucket_;     // per column: its bucket, or -1
+  };
+
+  // Elimination workspace, reused across factorizations. `rows_` is a
+  // row-major copy of the active submatrix; `col_rows_` lists the rows
+  // that may hold a column's entries — append-only per fill-in, stale rows
+  // purged lazily during pivot search — while `col_count_` is exact.
+  std::vector<std::vector<SparseEntry>> rows_;
+  std::vector<std::vector<int>> col_rows_;
+  std::vector<int> col_count_;
+  std::vector<char> row_active_;
+  std::vector<char> col_active_;
+  ColumnBuckets col_buckets_;
+  std::vector<double> acc_;  // dense merge accumulator, valid where mark_
+  std::vector<int> mark_;    // equals the current stamp
+  std::vector<int> fill_;
+  std::vector<SparseEntry> col_buf_;  // active entries of a scored column
 };
 
 /// The historical dense explicit-inverse backend, kept selectable for

@@ -33,6 +33,9 @@ Simplex::Simplex(const Problem& problem, SimplexOptions options)
     : problem_(&problem), options_(std::move(options)) {
   TVNEP_REQUIRE(problem.finalized(), "Simplex requires a finalized problem");
   if (options_.scaling) build_scaling(problem);
+  num_structural_ = problem.num_columns();
+  num_rows_ = problem.matrix().rows();
+  mat_ = scaled_ ? &scaled_matrix_ : &problem.matrix();
   const int n = num_structural();
   const int m = num_rows();
   lower_.resize(static_cast<std::size_t>(n + m));

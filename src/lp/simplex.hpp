@@ -168,8 +168,12 @@ struct SolveStats {
 
 class Simplex {
  public:
-  /// The problem must already be finalized and must outlive the solver.
+  /// The problem must already be finalized and must outlive the solver
+  /// without being reopened: its dimensions and matrix are read once here.
   Simplex(const Problem& problem, SimplexOptions options = {});
+  // Not copyable or movable: mat_ may point into this object.
+  Simplex(const Simplex&) = delete;
+  Simplex& operator=(const Simplex&) = delete;
 
   /// Tightens/relaxes the working bounds of structural column j.
   void set_bounds(int j, double lower, double upper);
@@ -262,8 +266,8 @@ class Simplex {
     VarStatus leaving_status = VarStatus::kAtLower;
   };
 
-  int num_structural() const { return problem_->num_columns(); }
-  int num_rows() const { return problem_->matrix().rows(); }
+  int num_structural() const { return num_structural_; }
+  int num_rows() const { return num_rows_; }
   int num_vars() const { return num_structural() + num_rows(); }
   bool is_slack(int v) const { return v >= num_structural(); }
 
@@ -271,9 +275,7 @@ class Simplex {
   // and scaled_cost_ (built once at construction) while problem_ keeps the
   // caller's original data; every public entry/exit point converts with
   // these factors.
-  const linalg::SparseMatrix& mat() const {
-    return scaled_ ? scaled_matrix_ : problem_->matrix();
-  }
+  const linalg::SparseMatrix& mat() const { return *mat_; }
   double struct_cost(int j) const {
     return scaled_ ? scaled_cost_[static_cast<std::size_t>(j)]
                    : problem_->column(j).cost;
@@ -367,6 +369,11 @@ class Simplex {
   std::vector<double> row_scale_;  // size m (when scaled_)
   std::vector<double> col_scale_;  // size n (when scaled_)
   bool scaled_ = false;
+  // Fixed at construction: the problem's dimensions and the matrix the
+  // pivots run on (scaled_matrix_ when scaled_, else the problem's).
+  int num_structural_ = 0;
+  int num_rows_ = 0;
+  const linalg::SparseMatrix* mat_ = nullptr;
   SimplexOptions options_;
   SolveStats stats_;
 

@@ -26,6 +26,15 @@ DependencyGraph::DependencyGraph(const net::TvnepInstance& instance)
         req.earliest_start() + req.duration();
     latest_[static_cast<std::size_t>(end_node(r))] = req.latest_end();
   }
+  // set_temporal accepts windows short of the duration by up to 1e-12: a
+  // pinned commit's latest_end - duration can round just below its start.
+  // Such a node would have latest < earliest, and two of them with equal
+  // times would each get an edge to the other. With latest >= earliest an
+  // edge strictly raises the earliest time, so no cycle can form.
+  for (int v = 0; v < n; ++v)
+    latest_[static_cast<std::size_t>(v)] =
+        std::max(latest_[static_cast<std::size_t>(v)],
+                 earliest_[static_cast<std::size_t>(v)]);
 
   adjacency_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0);
   for (int v = 0; v < n; ++v) {

@@ -39,7 +39,8 @@ class DependencyGraph {
   static int end_node(int r) { return 2 * r + 1; }
   DepNode node(int v) const { return {v / 2, v % 2 == 0}; }
 
-  /// earliest / latest feasible time of a dependency node (Section IV-C).
+  /// earliest / latest feasible time of a dependency node (Section IV-C);
+  /// latest is clamped to at least earliest.
   double earliest(int v) const;
   double latest(int v) const;
 

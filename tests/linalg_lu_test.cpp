@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
+
+#include "support/journal.hpp"
 
 namespace tvnep::linalg {
 namespace {
@@ -329,6 +333,226 @@ TEST(BasisFactorization, FillRatioReported) {
   ASSERT_TRUE(dense.factorize(b));
   // The dense backend stores m^2 entries regardless of sparsity.
   EXPECT_GT(dense.fill_ratio(), sparse.fill_ratio());
+}
+
+// ---- Pinned factors ----------------------------------------------------
+//
+// The pivot search may be re-engineered but must keep the pivot sequence,
+// so the factors, and with them every FTRAN/BTRAN bit, stay as they were.
+// The literals below were recorded by the build that preceded the
+// count-ordered candidate search (the one that scanned every column at
+// every stage). A mismatch means the solver path changed.
+
+// FNV-1a over the raw bits of B^-1 e_i and B^-T e_i for every i.
+std::uint64_t solve_hash(const SparseLuBasis& factor) {
+  const int m = factor.order();
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  std::vector<double> x(static_cast<std::size_t>(m));
+  for (int pass = 0; pass < 2; ++pass)
+    for (int i = 0; i < m; ++i) {
+      std::fill(x.begin(), x.end(), 0.0);
+      x[static_cast<std::size_t>(i)] = 1.0;
+      if (pass == 0)
+        factor.ftran(x);
+      else
+        factor.btran(x);
+      hash = fnv1a(std::string(reinterpret_cast<const char*>(x.data()),
+                               x.size() * sizeof(double)),
+                   hash);
+    }
+  return hash;
+}
+
+// Linear congruential stream, fixed across platforms.
+struct Lcg {
+  std::uint64_t s;
+  std::uint64_t next() {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    return s >> 33;
+  }
+  double unit() { return static_cast<double>(next() % 100000) / 100000.0; }
+};
+
+// The simplex's cold-start basis: one -1 slack per row.
+BasisColumns all_slack_basis(int m) {
+  BasisColumns b(m);
+  for (int c = 0; c < m; ++c) {
+    b.begin_column();
+    b.add(c, -1.0);
+  }
+  return b;
+}
+
+// Slack and structural columns mixed the way a simplex basis mixes them,
+// plus two planted rows whose elimination cancels an entry exactly, and an
+// input entry below kDropTol that the first merge through its row drops.
+BasisColumns mixed_basis(int m, std::uint64_t seed) {
+  Lcg rng{seed};
+  BasisColumns b(m);
+  for (int c = 0; c < m; ++c) {
+    b.begin_column();
+    if (c == 0) {  // rows 0 and 1: row 1 = row 0 / 2 on columns 0 and 1
+      b.add(0, 2.0);
+      b.add(1, 1.0);
+      b.add(4, 1.0);
+      continue;
+    }
+    if (c == 1) {
+      b.add(0, 4.0);
+      b.add(1, 2.0);
+      b.add(2, 1.5);
+      continue;
+    }
+    if (c == 2) {
+      b.add(1, 1e-15);
+      b.add(2, 3.0);
+      continue;
+    }
+    if (c == 3) {  // keeps rows 0 and 1 independent
+      b.add(1, 0.5);
+      b.add(3, -1.0);
+      continue;
+    }
+    if (rng.next() % 10 < 4) {
+      b.add(c, -1.0);
+      continue;
+    }
+    b.add(c, 1.0 + 2.0 * rng.unit());
+    const int extra = 1 + static_cast<int>(rng.next() % 4);
+    for (int t = 0; t < extra; ++t) {
+      const int r = static_cast<int>(rng.next() % static_cast<std::uint64_t>(m));
+      if (r != c) b.add(r, 4.0 * rng.unit() - 2.0);
+    }
+  }
+  return b;
+}
+
+// Columns 0..3 hold one entry of 0.3 each, below the 0.5 pivot floor the
+// test factorizes with, so the four lowest-count candidates all fail at
+// stage 0 and the full scan picks the pivot. Column 4+j then pivots on row
+// j, whose fill -(2/1) * 0.3 lifts column j over the floor.
+BasisColumns fallback_basis() {
+  const int m = 8;
+  BasisColumns b(m);
+  for (int j = 0; j < 4; ++j) {
+    b.begin_column();
+    b.add(j, 0.3);
+  }
+  for (int j = 0; j < 4; ++j) {
+    b.begin_column();
+    b.add(j, 1.0);
+    b.add(4 + j, 2.0);
+    b.add(4 + (j + 3) % 4, 0.05);
+    b.add(4 + (j + 2) % 4, -0.05);
+  }
+  return b;
+}
+
+// Slack columns around a dense block whose columns start with more than
+// 64 entries, so the candidate search also meets counts that large.
+BasisColumns dense_block_basis(int m, int block, std::uint64_t seed) {
+  Lcg rng{seed};
+  BasisColumns b(m);
+  for (int c = 0; c < m; ++c) {
+    b.begin_column();
+    if (c >= block) {
+      b.add(c, -1.0);
+      continue;
+    }
+    for (int r = 0; r < block; ++r) b.add(r, 4.0 * rng.unit() - 2.0);
+    if (c % 3 == 0) b.add(block + c, 0.5);
+  }
+  return b;
+}
+
+TEST(SparseLuBasis, FactorsArePinnedAcrossVersions) {
+  {
+    SparseLuBasis f;
+    ASSERT_TRUE(f.factorize(all_slack_basis(40)));
+    EXPECT_EQ(solve_hash(f), 0xf0f9197223598e25ull) << "all-slack";
+    EXPECT_EQ(f.fill_ratio(), 1.0) << "all-slack";
+  }
+  {
+    SparseLuBasis f;
+    ASSERT_TRUE(f.factorize(mixed_basis(60, 7)));
+    EXPECT_EQ(solve_hash(f), 0xf6c4456a25389a58ull) << "mixed";
+    EXPECT_EQ(f.fill_ratio(), 1.096551724137931) << "mixed";
+  }
+  {
+    SparseLuBasis f(64, /*pivot_tol=*/0.5);
+    ASSERT_TRUE(f.factorize(fallback_basis()));
+    EXPECT_EQ(solve_hash(f), 0x923f30b87f201f14ull) << "fallback";
+    EXPECT_EQ(f.fill_ratio(), 1.7) << "fallback";
+  }
+  {
+    SparseLuBasis f;
+    ASSERT_TRUE(f.factorize(dense_block_basis(150, 72, 3)));
+    EXPECT_EQ(solve_hash(f), 0xc0a0013f7e3270bbull) << "dense block";
+    EXPECT_EQ(f.fill_ratio(), 1.0) << "dense block";
+  }
+  {
+    // Eta chain: three exchanges with seeded entering columns, each
+    // FTRAN'd through the factors and the etas before it.
+    const int m = 30;
+    SparseLuBasis f;
+    ASSERT_TRUE(f.factorize(mixed_basis(m, 11)));
+    Lcg rng{5};
+    for (int step = 0; step < 3; ++step) {
+      std::vector<double> alpha(static_cast<std::size_t>(m), 0.0);
+      for (int t = 0; t < 4; ++t)
+        alpha[rng.next() % m] = 2.0 * rng.unit() - 1.0;
+      const int leaving = static_cast<int>(rng.next() % m);
+      alpha[static_cast<std::size_t>(leaving)] = 1.5 + rng.unit();
+      f.ftran(alpha);
+      ASSERT_TRUE(f.update(leaving, alpha)) << "step " << step;
+    }
+    EXPECT_EQ(f.updates_since_factorize(), 3);
+    EXPECT_EQ(solve_hash(f), 0x7a26a17a76dd2d78ull) << "eta chain";
+    EXPECT_EQ(f.fill_ratio(), 1.0375000000000001) << "eta chain";
+  }
+  {
+    // Rows 2 and 3 are proportional: the last stage finds its only
+    // remaining entry cancelled to exactly zero.
+    BasisColumns b(5);
+    const double cols[5][5] = {{1, 0, 2, 4, 0},
+                               {0, 1, 1, 2, 0},
+                               {0, 0, 3, 6, 1},
+                               {1, 1, 0, 0, 0},
+                               {0, 0, 1, 2, 1}};
+    for (int c = 0; c < 5; ++c) {
+      b.begin_column();
+      for (int r = 0; r < 5; ++r)
+        if (cols[c][r] != 0.0) b.add(r, cols[c][r]);
+    }
+    SparseLuBasis f;
+    LuFailure failure;
+    ASSERT_FALSE(f.factorize(b, &failure));
+    EXPECT_EQ(failure.stage, 4u);
+    EXPECT_EQ(failure.pivot_magnitude, 0.0);
+    EXPECT_EQ(failure.threshold, 1e-11);
+  }
+}
+
+TEST(SparseLuBasis, ReusedWorkspaceMatchesFreshInstance) {
+  // One instance refactorizes bases of growing and shrinking order, and a
+  // singular one in between; each result must equal a fresh instance's.
+  SparseLuBasis reused;
+  BasisColumns singular(3);
+  for (int c = 0; c < 3; ++c) {
+    singular.begin_column();
+    singular.add(0, 1.0);
+  }
+  const BasisColumns sequence[] = {
+      mixed_basis(60, 7),  all_slack_basis(40),         mixed_basis(30, 11),
+      singular,            dense_block_basis(150, 72, 3), mixed_basis(60, 7)};
+  for (const BasisColumns& b : sequence) {
+    SparseLuBasis fresh;
+    const bool ok = fresh.factorize(b);
+    ASSERT_EQ(reused.factorize(b), ok);
+    if (!ok) continue;
+    EXPECT_EQ(solve_hash(reused), solve_hash(fresh));
+    EXPECT_EQ(reused.fill_ratio(), fresh.fill_ratio());
+  }
 }
 
 }  // namespace

@@ -110,5 +110,32 @@ TEST(DependencyGraph, AcyclicInvariant) {
       if (g.has_edge(v, w)) EXPECT_FALSE(g.has_edge(w, v));
 }
 
+TEST(DependencyGraph, RoundedPinnedWindowsStayAcyclic) {
+  // Two commits pinned to the same start whose latest_end - duration
+  // rounds one ulp below it: latest start 124.72093386199998 < earliest
+  // start 124.720933862. Each start node used to get an edge to the other,
+  // so each counted the other as before and after it, and the cSigma start
+  // range came out empty ([2, 1] here).
+  const double start = 124.720933862;
+  const double duration = 3.5;
+  const double end = 128.22093386199998;
+  ASSERT_EQ(end - duration, 124.72093386199998);
+  const auto inst = make_instance({{start, end, duration}, {start, end, duration}});
+  const DependencyGraph g(inst);
+  const int s0 = DependencyGraph::start_node(0);
+  const int s1 = DependencyGraph::start_node(1);
+  EXPECT_EQ(g.latest(s0), g.earliest(s0));
+  EXPECT_FALSE(g.has_edge(s0, s1));
+  EXPECT_FALSE(g.has_edge(s1, s0));
+  for (int v = 0; v < g.num_nodes(); ++v)
+    EXPECT_EQ(g.dist_unit(v, v), 0) << "node " << v << " lies on a cycle";
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_FALSE(csigma_start_range(g, r, true).empty()) << "request " << r;
+    EXPECT_FALSE(csigma_end_range(g, r, true).empty()) << "request " << r;
+    EXPECT_FALSE(sigma_range(g, DependencyGraph::start_node(r), true).empty());
+    EXPECT_FALSE(sigma_range(g, DependencyGraph::end_node(r), true).empty());
+  }
+}
+
 }  // namespace
 }  // namespace tvnep::core

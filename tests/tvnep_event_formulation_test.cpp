@@ -123,5 +123,27 @@ TEST(EventFormulation, CompactHasOneStartPerEvent) {
   }
 }
 
+TEST(EventFormulation, RoundedPinnedWindowsBuild) {
+  // Two requests pinned to one start time whose latest_end - duration
+  // rounds one ulp below it (as the serve step instance pins commits).
+  // Building these models used to fail the "dependency presolve produced
+  // an empty event range" check.
+  net::TvnepInstance inst = overlapping_instance(0);
+  for (int i = 0; i < 2; ++i) {
+    net::VnetRequest r("pinned" + std::to_string(i));
+    r.add_node(1.0);
+    r.set_temporal(124.720933862, 128.22093386199998, 3.5);
+    inst.add_request(r, std::vector<net::NodeId>{0});
+  }
+  inst.fit_horizon();
+  CSigmaModel csigma(inst, {});
+  SigmaModel sigma(inst, {});
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(csigma.start_range(r).min, 1);
+    EXPECT_EQ(csigma.start_range(r).max, 2);
+    EXPECT_FALSE(sigma.start_range(r).empty());
+  }
+}
+
 }  // namespace
 }  // namespace tvnep::core
