@@ -6,8 +6,9 @@
 // win is measurable on the same trace.
 //
 //   serve_load [--scale K] [--mode greedy|reopt|both] [--csv out.csv]
-//              [--seed N] [--flex F] [--slo-ms MS] [--shed-fraction F]
-//              [--max-step N] [--reopt-every N] [--reopt-budget S]
+//              [--seed N] [--flex F] [--rows R] [--cols C]
+//              [--slo-ms MS] [--shed-fraction F]
+//              [--max-step 64] [--reopt-every N] [--reopt-budget S]
 //              [--arrival-rate R] [--metrics-port P]
 //              [--slo-window S] [--slo-budget F]
 //              [--emit-trace PATH]
@@ -285,7 +286,7 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) workload::save_trace(trace, trace_out);
 
   serve::AdmissionOptions admission;
-  admission.max_step_requests = args.get_int("max-step", 24);
+  admission.max_step_requests = args.get_int("max-step", 64);
   // The exact path gets the same per-step budget the daemon's shed ladder
   // would leave it before falling back to the fastpath.
   admission.greedy.per_iteration_time_limit =

@@ -534,7 +534,6 @@ std::vector<GreedyOutcome> run_greedy_sweep(
       [&](const net::TvnepInstance& instance, GreedyOutcome& outcome,
           int attempt, const std::atomic<bool>* cancel) {
         greedy::GreedyOptions options;
-        options.dependency_cuts = config.build.dependency_cuts;
         options.per_iteration_time_limit = config.time_limit;
         options.mip.presolve = config.presolve && attempt < 2;
         if (!config.mip_cuts) options.mip.cut_rounds = 0;

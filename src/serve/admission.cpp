@@ -17,7 +17,7 @@ constexpr double kTimeTol = 1e-9;
 /// A client-supplied mapping comes straight off the wire: the parse layer
 /// only knows the request, not the substrate, so the engine is the first
 /// place the node ids can be bounds-checked. Rejecting here keeps both the
-/// step MIP (TvnepInstance::add_request would throw) and the fastpath
+/// greedy step (TvnepInstance::add_request would throw) and the fastpath
 /// router (which indexes residual arrays with these ids) safe.
 bool mapping_valid(const RequestMessage& message, int substrate_nodes) {
   if (!message.mapping.has_value()) return true;
@@ -42,7 +42,7 @@ void AdmissionEngine::advance_now(double t_s,
   // Retire whole overlap-closure components, never single commits. An
   // ended commit (end <= now) cannot couple a *future candidate* — but it
   // can still share an instant with a live neighbor straddling now, and a
-  // later step MIP that re-embeds that neighbor must keep seeing the ended
+  // later step that re-embeds that neighbor must keep seeing the ended
   // commit's flows (batch greedy would). Only when an entire component has
   // ended can none of it constrain anything the engine will solve again.
   const std::size_t n = active_.size();
@@ -165,8 +165,14 @@ AdmitResult AdmissionEngine::admit_locked(const RequestMessage& message,
 
   const greedy::GreedyStepResult step = greedy::solve_greedy_step(
       working, target, force_accept, {}, options_.greedy);
-  if (!step.step.has_solution) {
+  if (step.step.status != mip::MipStatus::kOptimal) {
     result.outcome = AdmitOutcome::kSolverFailed;
+    return result;
+  }
+  if (!step.accepted) {
+    // A proven reject carries no fresh allocation: the component keeps its
+    // stored flows, which are already jointly feasible.
+    result.outcome = AdmitOutcome::kRejected;
     return result;
   }
 
@@ -176,12 +182,6 @@ AdmitResult AdmissionEngine::admit_locked(const RequestMessage& message,
   for (std::size_t k = 0; k < component.size(); ++k)
     active_[component[k]].embedding =
         step.step.solution.requests[static_cast<std::size_t>(k)];
-
-  if (!step.accepted) {
-    for (std::size_t idx : component) txn->refreshed.push_back(&active_[idx]);
-    result.outcome = AdmitOutcome::kRejected;
-    return result;
-  }
 
   Commit commit;
   commit.seq = next_seq_++;

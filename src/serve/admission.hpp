@@ -6,9 +6,9 @@
 // couple requests whose active intervals [start, end) intersect. The
 // transitive closure of that interval-overlap relation partitions the
 // committed set into components that are pairwise temporally disjoint —
-// a step MIP restricted to the component(s) a candidate's window touches
+// a greedy step restricted to the component(s) a candidate's window touches
 // therefore has exactly the same feasible target schedules as the full
-// batch step MIP, and the greedy step objective (Eq. 21) is invariant in
+// batch step, and the greedy step objective (Eq. 21) is invariant in
 // the horizon T, so the restricted solve commits the identical outcome
 // (accept decision, start, end). Rejected requests consume nothing
 // (Definition 2.1) and are dropped entirely. A component whose *latest*
@@ -17,7 +17,7 @@
 // wholesale — that garbage collection is what bounds per-admission work
 // at 100x-1000x scale. Retirement is per component, never per commit: an
 // ended commit that still overlaps a live neighbor keeps constraining the
-// neighbor's re-embeddings and must stay in future step MIPs.
+// neighbor's re-embeddings and must stay in future steps.
 //
 // Flows: link allocations are never frozen (the paper recomputes them each
 // greedy iteration). The engine stores the *latest jointly consistent*
@@ -41,9 +41,9 @@
 namespace tvnep::serve {
 
 struct AdmissionOptions {
-  /// Step-MIP options (time limit, cuts, solver knobs, cancel seam).
+  /// Greedy-step options (time limit, solver knobs, cancel seam).
   greedy::GreedyOptions greedy;
-  /// Upper bound on requests in one step MIP (component + target); a
+  /// Upper bound on requests in one step (component + target); a
   /// larger component reports kComponentTooLarge so the caller can shed
   /// to the fastpath. 0 disables the cap.
   int max_step_requests = 64;
@@ -70,10 +70,10 @@ struct Commit {
 
 enum class AdmitOutcome {
   kAccepted,
-  kRejected,           // step MIP proved no feasible embedding
+  kRejected,           // the step proved no feasible start exists
   kWindowClosed,       // t^e - d below the virtual now: can no longer start
   kComponentTooLarge,  // over max_step_requests — shed to fastpath
-  kSolverFailed,       // step MIP returned no incumbent (time limit/cancel)
+  kSolverFailed,       // the step hit its time limit or was cancelled
   kInvalidMapping,     // mapping node ids outside the substrate — terminal
 };
 
@@ -81,7 +81,7 @@ struct AdmitResult {
   AdmitOutcome outcome = AdmitOutcome::kRejected;
   double start = 0.0;
   double end = 0.0;
-  /// Committed requests included in the step MIP (exact path only).
+  /// Committed requests included in the step (exact path only).
   int component_size = 0;
 };
 
@@ -97,7 +97,7 @@ class AdmissionEngine {
  public:
   AdmissionEngine(net::SubstrateNetwork substrate, AdmissionOptions options);
 
-  /// Exact admission: the batch-greedy step MIP over the candidate's
+  /// Exact admission: the batch-greedy step over the candidate's
   /// overlap-closure component. Thread-safe; solves under the engine lock
   /// (the daemon admits from a single worker).
   AdmitResult admit(const RequestMessage& message);
@@ -231,7 +231,7 @@ struct StateTransition {
   /// Seqs garbage-collected by this call's now-advance, retirement order.
   std::vector<std::uint64_t> retired;
   /// Component commits whose stored flows the step solve refreshed
-  /// (exact path; populated on rejects too).
+  /// (exact-path accepts; a reject keeps the stored flows, so it is empty).
   std::vector<const Commit*> refreshed;
 
   // ----- kInstall -----

@@ -23,6 +23,9 @@ namespace tvnep::serve {
 
 namespace {
 constexpr int kPollMs = 50;  // stop-flag latency bound for the I/O loops
+// Longest request line the reader buffers; a longer one answers one error
+// and is dropped up to its newline, so a client cannot grow memory.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 // Pre-rendered `"req":"<id>"` member tagging every span of one request's
 // lifecycle — what lets a scraper (or validate_trace.py) reassemble the
@@ -115,6 +118,7 @@ bool Daemon::write_line(int fd, const std::string& line) {
 
 void Daemon::reader_loop(int in_fd, int out_fd) {
   std::string pending;
+  bool discarding = false;  // inside an over-long line, up to its newline
   char buffer[65536];
   long line_number = 0;
   bool eof = false;
@@ -214,18 +218,41 @@ void Daemon::reader_loop(int in_fd, int out_fd) {
       eof = true;
       break;
     }
-    pending.append(buffer, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t i = pending.find('\n', 0); i != std::string::npos;
-         i = pending.find('\n', start)) {
-      if (!handle_line(pending.substr(start, i - start))) {
-        start = pending.size();
+    // Scan only the bytes just read; `pending` holds the current line's
+    // earlier bytes, at most kMaxLineBytes of them.
+    const std::size_t len = static_cast<std::size_t>(n);
+    std::size_t pos = 0;
+    while (pos < len) {
+      const char* nl = static_cast<const char*>(
+          std::memchr(buffer + pos, '\n', len - pos));
+      const std::size_t end =
+          nl != nullptr ? static_cast<std::size_t>(nl - buffer) : len;
+      if (!discarding) pending.append(buffer + pos, end - pos);
+      pos = end + 1;
+      if (!discarding && pending.size() > kMaxLineBytes) {
+        ++line_number;
+        obs::counter_add("serve.protocol.errors");
+        obs::log_warn("serve.daemon", "line too long",
+                      "\"line\":" + std::to_string(line_number));
+        write_line(out_fd, encode_error("line " + std::to_string(line_number) +
+                                        " exceeds " +
+                                        std::to_string(kMaxLineBytes) +
+                                        " bytes"));
+        pending.clear();
+        discarding = true;
+      }
+      if (nl == nullptr) break;
+      if (discarding) {
+        discarding = false;
+        continue;
+      }
+      const bool more = handle_line(pending);
+      pending.clear();
+      if (!more) {
         eof = true;
         break;
       }
-      start = i + 1;
     }
-    pending.erase(0, start);
   }
   if (eof && !pending.empty()) handle_line(pending);
 

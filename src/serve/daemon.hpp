@@ -6,7 +6,7 @@
 //     line, answers protocol errors immediately, and feeds a bounded
 //     queue;
 //   * the serve() caller is the single admission worker: it pops items in
-//     order and walks the degradation ladder — exact step MIP while the
+//     order and walks the degradation ladder — exact greedy step while the
 //     queued age leaves SLO headroom, the fastpath router once it does
 //     not, a structured "overload" reject once the SLO is already blown;
 //   * the re-optimizer thread (optional) runs exact max-earliness passes
@@ -38,7 +38,7 @@
 namespace tvnep::serve {
 
 struct DaemonOptions {
-  /// Admission latency SLO; also caps the step-MIP budget.
+  /// Admission latency SLO; also caps the greedy-step budget.
   double slo_ms = 100.0;
   /// Fraction of the SLO a request may age in the queue before the worker
   /// skips the exact path and sheds to the fastpath router.

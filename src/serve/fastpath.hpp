@@ -1,11 +1,11 @@
 // Shed-mode router: the cheapest-feasible greedy variant the daemon falls
-// back to when the exact step MIP would blow the latency SLO (component
+// back to when the exact greedy step would blow the latency SLO (component
 // too large, solver timeout, queue aging). It prices residual node/link
 // capacities over the candidate interval against the engine's stored
 // commit embeddings and routes every virtual link on a single shortest
 // feasible path — no MIP, no rerouting of existing flows, a few
 // microseconds per attempt. Admissions it makes are feasible but not
-// greedy-optimal (it may start later than the step MIP would).
+// greedy-optimal (it may start later than the exact step would).
 #pragma once
 
 #include <optional>

@@ -177,7 +177,7 @@ int run_daemon(const tvnep::eval::Args& args) {
       args.get_double("reopt-interval-ms", 0.0) / 1000.0;
   options.reopt.time_limit_seconds = args.get_double("reopt-budget", 2.0);
   options.admission.max_step_requests = args.get_int("max-step", 64);
-  // The step MIP may use at most the SLO headroom the shed ladder leaves.
+  // The greedy step may use at most the SLO headroom the shed ladder leaves.
   options.admission.greedy.per_iteration_time_limit =
       options.shed_fraction * options.slo_ms / 1000.0;
   options.admission.greedy.mip.cancel = &g_stop;

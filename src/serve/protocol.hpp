@@ -58,7 +58,7 @@ struct Decision {
   bool accepted = false;
   double start = 0.0;
   double end = 0.0;
-  /// "exact" (step MIP), "fastpath" (shed single-path router), "shed"
+  /// "exact" (greedy step), "fastpath" (shed single-path router), "shed"
   /// (rejected without solver work), or "error" (internal failure).
   std::string mode = "exact";
   /// Reject reason: "capacity", "window", "overload", "invalid" (mapping

@@ -25,12 +25,16 @@ TvnepSolveResult solve(const net::TvnepInstance& instance, ModelKind kind,
                        const SolveParams& params) {
   const std::unique_ptr<Formulation> formulation =
       build_formulation(instance, kind, params.build);
-
   mip::MipOptions mip_options = params.mip;
   mip_options.time_limit_seconds = params.time_limit_seconds;
   if (params.max_nodes > 0) mip_options.max_nodes = params.max_nodes;
-  mip::MipSolver solver(mip_options);
-  const mip::MipResult mip_result = solver.solve(formulation->model());
+  return solve(*formulation, mip_options);
+}
+
+TvnepSolveResult solve(const Formulation& formulation,
+                       const mip::MipOptions& options) {
+  mip::MipSolver solver(options);
+  const mip::MipResult mip_result = solver.solve(formulation.model());
 
   TvnepSolveResult result;
   result.status = mip_result.status;
@@ -53,9 +57,9 @@ TvnepSolveResult solve(const net::TvnepInstance& instance, ModelKind kind,
   result.cuts_added = mip_result.cuts_added;
   result.cut_rounds = mip_result.cut_rounds;
   result.rc_fixed = mip_result.rc_fixed;
-  result.model_vars = formulation->model().num_vars();
-  result.model_constraints = formulation->model().num_constraints();
-  result.model_integer_vars = formulation->model().num_integer_vars();
+  result.model_vars = formulation.model().num_vars();
+  result.model_constraints = formulation.model().num_constraints();
+  result.model_integer_vars = formulation.model().num_integer_vars();
   result.presolve_rows_removed = mip_result.presolve_rows_removed;
   result.presolve_cols_removed = mip_result.presolve_cols_removed;
   result.presolve_coeffs_tightened = mip_result.presolve_coeffs_tightened;
@@ -63,7 +67,7 @@ TvnepSolveResult solve(const net::TvnepInstance& instance, ModelKind kind,
   result.presolve_infeasible = mip_result.presolve_infeasible;
   result.presolve_seconds = mip_result.presolve_seconds;
   if (mip_result.has_solution) {
-    result.solution = formulation->extract(mip_result.solution);
+    result.solution = formulation.extract(mip_result.solution);
     result.accepted_requests = result.solution.num_accepted();
   }
   return result;

@@ -65,4 +65,8 @@ std::unique_ptr<Formulation> build_formulation(
 TvnepSolveResult solve(const net::TvnepInstance& instance, ModelKind kind,
                        const SolveParams& params);
 
+/// Solves an already built formulation with the given solver options.
+TvnepSolveResult solve(const Formulation& formulation,
+                       const mip::MipOptions& options);
+
 }  // namespace tvnep::core

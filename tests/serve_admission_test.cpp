@@ -119,7 +119,7 @@ TEST(ServeAdmission, GcOnAndOffProduceIdenticalOutcomes) {
     if (a.outcome == AdmitOutcome::kAccepted) {
       EXPECT_NEAR(a.start, b.start, kTol);
       EXPECT_NEAR(a.end, b.end, kTol);
-      // GC keeps the step MIP no larger than the full history would be.
+      // GC keeps the step no larger than the full history would be.
       EXPECT_LE(a.component_size, b.component_size);
     }
   }
@@ -201,6 +201,39 @@ TEST(ServeAdmission, ClosesWindowsBehindTheVirtualNow) {
   EXPECT_EQ(engine.admit(stale).outcome, AdmitOutcome::kWindowClosed);
   EXPECT_EQ(engine.admit_fastpath(stale).outcome,
             AdmitOutcome::kWindowClosed);
+}
+
+TEST(ServeAdmission, ProvenRejectKeepsTheStoredFlows) {
+  // Two links 0->1 and 1->0; "first" holds node 0 over [0, 2). "second"
+  // needs node 0 over the same window, so the node check proves the
+  // reject: no allocation is refreshed, and the WAL record carries an
+  // empty refresh list.
+  AdmissionEngine engine(net::make_grid(1, 2, 1.0, 10.0), {});
+  std::vector<std::size_t> refreshed;
+  std::vector<AdmitOutcome> outcomes;
+  engine.set_state_sink([&](const StateTransition& txn) {
+    refreshed.push_back(txn.refreshed.size());
+    outcomes.push_back(txn.outcome);
+  });
+  auto message = [](const std::string& id) {
+    RequestMessage m;
+    m.id = id;
+    m.request = net::VnetRequest(id);
+    m.request.add_node(1.0);
+    m.request.add_node(0.0);
+    m.request.add_link(0, 1, 1.0);
+    m.request.set_temporal(0.0, 2.0, 2.0);
+    m.mapping = std::vector<net::NodeId>{0, 1};
+    return m;
+  };
+  ASSERT_EQ(engine.admit(message("first")).outcome, AdmitOutcome::kAccepted);
+  const core::RequestEmbedding stored = engine.history()[0].embedding;
+  EXPECT_EQ(engine.admit(message("second")).outcome, AdmitOutcome::kRejected);
+  EXPECT_EQ(engine.history()[0].embedding.link_flow, stored.link_flow);
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[1], AdmitOutcome::kRejected);
+  EXPECT_EQ(refreshed[1], 0u);
+  engine.set_state_sink({});
 }
 
 TEST(ServeAdmission, RejectsMappingsOutsideTheSubstrate) {

@@ -208,6 +208,27 @@ TEST_F(ServeTelemetryTest, ScrapeWhileDaemonServes) {
   EXPECT_NE(replies.find("\"type\":\"bye\""), std::string::npos);
 }
 
+TEST_F(ServeTelemetryTest, OneAdmitExportsGreedyStepAnchorMetrics) {
+  obs::Metrics::instance().start();
+  AdmissionEngine engine(net::make_grid(4, 5, 3.5, 5.0), {});
+  RequestMessage message;
+  message.id = "R0";
+  message.request.add_node(1.0);
+  message.request.set_temporal(0.0, 4.0, 1.0);
+  message.mapping = std::vector<net::NodeId>{0};
+  EXPECT_EQ(engine.admit(message).outcome, AdmitOutcome::kAccepted);
+
+  MetricsServer server(MetricsServerOptions{});
+  const int port = server.start(0);
+  ASSERT_GT(port, 0);
+  const std::string response = http_get(port, "/metrics");
+  server.stop();
+  // One step evaluated its first anchor and accepted there.
+  EXPECT_NE(response.find("greedy_step_anchors_count 1"), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("greedy_step_node_pruned 0"), std::string::npos);
+}
+
 TEST_F(ServeTelemetryTest, StatsRecordCarriesLadderQueueAndSloFields) {
   int pipes_in[2], pipes_out[2];
   ASSERT_EQ(::pipe(pipes_in), 0);
