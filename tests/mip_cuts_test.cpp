@@ -10,7 +10,6 @@
 #include <cmath>
 #include <vector>
 
-#include "greedy/greedy.hpp"
 #include "mip/branch_and_bound.hpp"
 #include "net/topology.hpp"
 #include "tvnep/solver.hpp"
@@ -242,8 +241,8 @@ TEST(RcFixing, NeverFixesAwayTheOptimum) {
 TEST(CutValidity, GreedyStepWithPinnedFractionalTimes) {
   // Regression mirror of ServeReopt.BackgroundReoptStrictlyImprovesAdmission:
   // a greedy-step cΣ model whose pinned commits sit at fractional times and
-  // whose candidate window opens at 6.5. The step must accept the candidate
-  // with cuts on exactly as it does with cuts off.
+  // whose candidate window opens at 6.5. The step MIP must accept the
+  // candidate with cuts on exactly as it does with cuts off.
   net::SubstrateNetwork substrate;
   substrate.add_node(10.0, "A");
   substrate.add_node(10.0, "B");
@@ -274,19 +273,26 @@ TEST(CutValidity, GreedyStepWithPinnedFractionalTimes) {
       std::vector<int>{1, 2});
   working.fit_horizon();
 
-  greedy::GreedyOptions without_cuts;
-  without_cuts.mip.cut_rounds = 0;
-  without_cuts.mip.rc_fixing = false;
-  const greedy::GreedyStepResult plain =
-      greedy::solve_greedy_step(working, target, force_accept, {},
-                                without_cuts);
-  ASSERT_TRUE(plain.step.has_solution);
-
-  const greedy::GreedyStepResult with_cuts =
-      greedy::solve_greedy_step(working, target, force_accept, {}, {});
-  ASSERT_TRUE(with_cuts.step.has_solution);
-  EXPECT_EQ(with_cuts.accepted, plain.accepted);
-  EXPECT_NEAR(with_cuts.step.objective, plain.step.objective, 1e-6);
+  // The cΣ step MIP (the greedy step's test oracle), with and without cuts.
+  core::SolveParams plain_params;
+  plain_params.build.objective = core::ObjectiveKind::kGreedyStep;
+  plain_params.build.greedy_target = target;
+  plain_params.build.force_accept = force_accept;
+  core::SolveParams cut_params = plain_params;
+  plain_params.mip.cut_rounds = 0;
+  plain_params.mip.rc_fixing = false;
+  const core::TvnepSolveResult plain =
+      core::solve(working, ModelKind::kCSigma, plain_params);
+  ASSERT_TRUE(plain.has_solution);
+  const core::TvnepSolveResult with_cuts =
+      core::solve(working, ModelKind::kCSigma, cut_params);
+  ASSERT_TRUE(with_cuts.has_solution);
+  const auto accepted = [&](const core::TvnepSolveResult& r) {
+    return r.solution.requests[static_cast<std::size_t>(target)].accepted;
+  };
+  EXPECT_TRUE(accepted(plain));
+  EXPECT_EQ(accepted(with_cuts), accepted(plain));
+  EXPECT_NEAR(with_cuts.objective, plain.objective, 1e-6);
 }
 
 TEST(CutValidity, PolishedIncumbentLandsExactlyOnScheduleBoundaries) {
