@@ -7,6 +7,7 @@
 
 #include "eval/runner.hpp"
 #include "support/journal.hpp"
+#include "support/json.hpp"
 #include "support/parse_error.hpp"
 
 namespace tvnep::eval {
@@ -37,8 +38,9 @@ CellRecord decode_record(const JsonValue& value, const std::string& path,
     throw ParseError(path, line, 0, "journal record has no fields object");
   CellRecord record;
   record.key.label = label->as_string();
-  record.key.flex_index = static_cast<int>(flex->as_number());
-  record.key.seed = static_cast<int>(seed->as_number());
+  record.key.flex_index =
+      require_index(*flex, "flex_index", kAnyIntIndex, path, line);
+  record.key.seed = require_index(*seed, "seed", kAnyIntIndex, path, line);
   for (const auto& [name, field] : fields->as_object())
     record.fields[name] = decode_value(field, path, line);
   return record;

@@ -145,9 +145,6 @@ GreedyStepResult solve_greedy_step(const net::TvnepInstance& working,
       working.has_fixed_mapping(target)
           ? fixed.add_request(req, working.fixed_mapping(target))
           : fixed.add_request(req);
-  core::BuildOptions build;
-  build.objective = core::ObjectiveKind::kGreedyStep;
-  build.greedy_target = fixed_target;
 
   const double t_s = req.earliest_start();
   const double d = req.duration();
@@ -193,7 +190,10 @@ GreedyStepResult solve_greedy_step(const net::TvnepInstance& working,
       break;
     }
     fixed.mutable_request(fixed_target).set_temporal(s, s + d, d);
-    const core::FixedScheduleModel model(fixed, build);
+    const core::FixedScheduleModel model(fixed);
+    // With every mapping fixed the model is a pure flow LP; presolve
+    // almost never removes a row from it and costs more than it saves.
+    if (model.model().num_integer_vars() == 0) mip.presolve = false;
     core::TvnepSolveResult solved = core::solve(model, mip);
     if (!solved.has_solution) {
       if (solved.status == mip::MipStatus::kInfeasible) continue;

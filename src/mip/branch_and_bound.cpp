@@ -333,7 +333,8 @@ MipResult MipSolver::solve_tree(
                        ",\"rounds\":" + std::to_string(result.cut_rounds));
   }
 
-  // Incumbent in minimize (LP) space.
+  // Incumbent in minimize (LP) space. One exists once its objective is
+  // finite: the incumbent of a model without columns is the empty vector.
   double incumbent_lp_obj = kInf;
   std::vector<double> incumbent;
   bool node_improved_incumbent = false;  // reset per processed node
@@ -507,7 +508,7 @@ MipResult MipSolver::solve_tree(
     record.branch_var = branch_var;
     record.branch_frac = branch_frac;
     record.incumbent_updated = node_improved_incumbent;
-    record.has_incumbent = !incumbent.empty();
+    record.has_incumbent = incumbent_lp_obj < kInf;
     if (record.has_incumbent)
       record.incumbent = to_model_obj(incumbent_lp_obj);
     record.has_global_bound = std::isfinite(logged_bound_lp);
@@ -802,7 +803,7 @@ MipResult MipSolver::solve_tree(
     const long heuristic_period =
         options_.heuristic_frequency <= 0
             ? 0
-            : (incumbent.empty()
+            : (incumbent_lp_obj == kInf
                    ? std::min<long>(options_.heuristic_frequency, 25)
                    : options_.heuristic_frequency);
     if (heuristic_period > 0 && nodes_since_heuristic >= heuristic_period) {
@@ -855,7 +856,7 @@ MipResult MipSolver::solve_tree(
   // assignment fixed recovers a clean vertex of the original polytope;
   // cuts only tightened the relaxation, so the polished point can only
   // match or improve the incumbent objective.
-  if (!incumbent.empty() && result.cuts_added > 0 && !deadline.expired()) {
+  if (incumbent_lp_obj < kInf && result.cuts_added > 0 && !deadline.expired()) {
     lp::Problem clean = model.to_lp(nullptr);
     lp::Simplex polish(clean, lp_options);
     polish.set_time_limit(
@@ -881,7 +882,7 @@ MipResult MipSolver::solve_tree(
 
   result.lp_pivots = retired_pivots + simplex->total_pivots();
   result.seconds = watch.seconds();
-  result.has_solution = !incumbent.empty();
+  result.has_solution = incumbent_lp_obj < kInf;
   if (result.has_solution) {
     result.solution = incumbent;
     result.objective = to_model_obj(incumbent_lp_obj);

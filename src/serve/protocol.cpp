@@ -26,15 +26,6 @@ double require_number(const JsonValue& obj, const std::string& key,
   return v->as_number();
 }
 
-int require_index(double x, const std::string& what, int limit,
-                  const std::string& source, long line) {
-  // Range-check the double first: casting a value outside int's range
-  // (1e20, infinity, NaN) is undefined behavior before any check runs.
-  if (!(x >= 0.0) || x >= static_cast<double>(limit) || std::floor(x) != x)
-    fail(source, line, what + " out of range");
-  return static_cast<int>(x);
-}
-
 RequestMessage parse_request(const JsonValue& obj, const std::string& source,
                              long line) {
   RequestMessage out;
@@ -68,9 +59,9 @@ RequestMessage parse_request(const JsonValue& obj, const std::string& source,
       const auto& triple = link.as_array();
       for (const JsonValue& field : triple)
         if (!field.is_number()) fail(source, line, "link fields must be numbers");
-      const int from = require_index(triple[0].as_number(), "link endpoint",
+      const int from = require_index(triple[0], "link endpoint",
                                      request.num_nodes(), source, line);
-      const int to = require_index(triple[1].as_number(), "link endpoint",
+      const int to = require_index(triple[1], "link endpoint",
                                    request.num_nodes(), source, line);
       if (triple[2].as_number() < 0.0)
         fail(source, line, "link demand must be non-negative");
@@ -89,15 +80,11 @@ RequestMessage parse_request(const JsonValue& obj, const std::string& source,
         fail(source, line, "\"mapping\" must list one substrate node per "
                            "virtual node");
       std::vector<net::NodeId> nodes_out;
-      for (const JsonValue& node : mapping->as_array()) {
-        // The substrate size is unknown at parse time (the engine bounds
-        // the ids on admission); here only reject what cannot be cast to
-        // int without undefined behavior.
-        const double x = node.is_number() ? node.as_number() : -1.0;
-        if (!(x >= 0.0) || x >= 2147483648.0 || std::floor(x) != x)
-          fail(source, line, "mapping entries must be substrate node ids");
-        nodes_out.push_back(static_cast<net::NodeId>(x));
-      }
+      // The substrate size is unknown at parse time (the engine bounds
+      // the ids on admission); here only reject what is no int index.
+      for (const JsonValue& node : mapping->as_array())
+        nodes_out.push_back(require_index(node, "mapping entry", kAnyIntIndex,
+                                          source, line));
       out.mapping = std::move(nodes_out);
     }
   }

@@ -1,6 +1,7 @@
 #include "serve/wal.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -61,13 +62,21 @@ double number_member(const JsonValue& value, const char* key,
   return m.as_number();
 }
 
+/// A sequence number or counter: a whole number below 2^64, range-checked
+/// before the cast for the same reason as require_index.
+std::uint64_t as_uint(const JsonValue& value, const std::string& what,
+                      const std::string& source, long line) {
+  const double raw = value.is_number() ? value.as_number() : -1.0;
+  if (!(raw >= 0.0) || raw >= 18446744073709551616.0 ||
+      std::floor(raw) != raw)
+    throw ParseError(source, line, 0, what + " out of range");
+  return static_cast<std::uint64_t>(raw);
+}
+
 std::uint64_t uint_member(const JsonValue& value, const char* key,
                           const std::string& source, long line) {
-  const double raw = number_member(value, key, source, line);
-  if (raw < 0)
-    throw ParseError(source, line, 0,
-                     std::string("key \"") + key + "\" is negative");
-  return static_cast<std::uint64_t>(raw);
+  return as_uint(member(value, key, source, line),
+                 std::string("key \"") + key + "\"", source, line);
 }
 
 const std::string& string_member(const JsonValue& value, const char* key,
@@ -123,11 +132,9 @@ core::RequestEmbedding decode_embedding(const JsonValue& value,
   embedding.accepted = true;  // only accepted commits are ever persisted
   embedding.start = number_member(value, "start", source, line);
   embedding.end = number_member(value, "end", source, line);
-  for (const JsonValue& node : array_member(value, "nm", source, line)) {
-    if (!node.is_number())
-      throw ParseError(source, line, 0, "node mapping entry is not a number");
-    embedding.node_mapping.push_back(static_cast<int>(node.as_number()));
-  }
+  for (const JsonValue& node : array_member(value, "nm", source, line))
+    embedding.node_mapping.push_back(require_index(
+        node, "node mapping entry", kAnyIntIndex, source, line));
   for (const JsonValue& flow : array_member(value, "flow", source, line)) {
     if (!flow.is_number())
       throw ParseError(source, line, 0, "flow entry is not a number");
@@ -217,9 +224,7 @@ void apply_record(AdmissionEngine::Snapshot* state, const JsonValue& record,
   const std::string& type = string_member(record, "t", source, line);
   if (type == "d") {
     for (const JsonValue& seq : array_member(record, "retired", source, line)) {
-      if (!seq.is_number())
-        throw ParseError(source, line, 0, "retired entry is not a number");
-      const auto target = static_cast<std::uint64_t>(seq.as_number());
+      const std::uint64_t target = as_uint(seq, "retired entry", source, line);
       for (std::size_t i = 0; i < state->commits.size(); ++i) {
         if (state->commits[i].seq != target) continue;
         state->retired.push_back(std::move(state->commits[i]));
@@ -370,8 +375,10 @@ Commit decode_commit(const JsonValue& value, const std::string& source,
         !link.as_array()[0].is_number() || !link.as_array()[1].is_number() ||
         !link.as_array()[2].is_number())
       throw ParseError(source, line, 0, "virtual link is not [from,to,demand]");
-    request.add_link(static_cast<int>(link.as_array()[0].as_number()),
-                     static_cast<int>(link.as_array()[1].as_number()),
+    request.add_link(require_index(link.as_array()[0], "virtual link endpoint",
+                                   request.num_nodes(), source, line),
+                     require_index(link.as_array()[1], "virtual link endpoint",
+                                   request.num_nodes(), source, line),
                      link.as_array()[2].as_number());
   }
   request.set_temporal(number_member(req, "ts", source, line),
@@ -382,11 +389,9 @@ Commit decode_commit(const JsonValue& value, const std::string& source,
     if (!map->is_array())
       throw ParseError(source, line, 0, "\"map\" is not an array");
     std::vector<net::NodeId> mapping;
-    for (const JsonValue& node : map->as_array()) {
-      if (!node.is_number())
-        throw ParseError(source, line, 0, "mapping entry is not a number");
-      mapping.push_back(static_cast<net::NodeId>(node.as_number()));
-    }
+    for (const JsonValue& node : map->as_array())
+      mapping.push_back(
+          require_index(node, "mapping entry", kAnyIntIndex, source, line));
     commit.mapping = std::move(mapping);
   }
   commit.embedding =

@@ -1,6 +1,7 @@
 #include "support/json.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 
@@ -308,6 +309,14 @@ class Parser {
 JsonValue parse_json(const std::string& text, const std::string& source,
                      long line) {
   return Parser(text, source, line).run();
+}
+
+int require_index(const JsonValue& value, const std::string& what,
+                  long long limit, const std::string& source, long line) {
+  const double x = value.is_number() ? value.as_number() : -1.0;
+  if (!(x >= 0.0) || x >= static_cast<double>(limit) || std::floor(x) != x)
+    throw ParseError(source, line, 0, what + " out of range");
+  return static_cast<int>(x);
 }
 
 std::string json_escape(const std::string& value) {

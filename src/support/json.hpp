@@ -15,6 +15,7 @@
 // exact_number for doubles that must re-read bit-identically.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -70,6 +71,20 @@ class JsonValue {
 /// the ParseError location; columns are 1-based offsets into `text`.
 JsonValue parse_json(const std::string& text, const std::string& source,
                      long line = 1);
+
+/// The `limit` of require_index that admits every nonnegative int: for an
+/// id whose range the decoder cannot know (a substrate node id before the
+/// substrate is known, a seed).
+inline constexpr long long kAnyIntIndex =
+    static_cast<long long>(std::numeric_limits<int>::max()) + 1;
+
+/// `value` as an index in [0, limit), limit <= kAnyIntIndex; anything
+/// else — not a number, a fraction, negative, too large — throws a
+/// ParseError at source:line naming `what`. The double is range-checked
+/// before the int cast: casting 1e20, infinity or NaN is undefined
+/// behaviour.
+int require_index(const JsonValue& value, const std::string& what,
+                  long long limit, const std::string& source, long line);
 
 /// Escapes a string for embedding between JSON quotes.
 std::string json_escape(const std::string& value);

@@ -31,10 +31,15 @@ TvnepSolveResult solve(const net::TvnepInstance& instance, ModelKind kind,
   return solve(*formulation, mip_options);
 }
 
-TvnepSolveResult solve(const Formulation& formulation,
-                       const mip::MipOptions& options) {
+namespace {
+
+/// Runs the MIP solver on `built.model()` and reads the incumbent back
+/// through `built.extract`.
+template <class Built>
+TvnepSolveResult solve_built(const Built& built,
+                             const mip::MipOptions& options) {
   mip::MipSolver solver(options);
-  const mip::MipResult mip_result = solver.solve(formulation.model());
+  const mip::MipResult mip_result = solver.solve(built.model());
 
   TvnepSolveResult result;
   result.status = mip_result.status;
@@ -57,9 +62,9 @@ TvnepSolveResult solve(const Formulation& formulation,
   result.cuts_added = mip_result.cuts_added;
   result.cut_rounds = mip_result.cut_rounds;
   result.rc_fixed = mip_result.rc_fixed;
-  result.model_vars = formulation.model().num_vars();
-  result.model_constraints = formulation.model().num_constraints();
-  result.model_integer_vars = formulation.model().num_integer_vars();
+  result.model_vars = built.model().num_vars();
+  result.model_constraints = built.model().num_constraints();
+  result.model_integer_vars = built.model().num_integer_vars();
   result.presolve_rows_removed = mip_result.presolve_rows_removed;
   result.presolve_cols_removed = mip_result.presolve_cols_removed;
   result.presolve_coeffs_tightened = mip_result.presolve_coeffs_tightened;
@@ -67,10 +72,22 @@ TvnepSolveResult solve(const Formulation& formulation,
   result.presolve_infeasible = mip_result.presolve_infeasible;
   result.presolve_seconds = mip_result.presolve_seconds;
   if (mip_result.has_solution) {
-    result.solution = formulation.extract(mip_result.solution);
+    result.solution = built.extract(mip_result.solution);
     result.accepted_requests = result.solution.num_accepted();
   }
   return result;
+}
+
+}  // namespace
+
+TvnepSolveResult solve(const Formulation& formulation,
+                       const mip::MipOptions& options) {
+  return solve_built(formulation, options);
+}
+
+TvnepSolveResult solve(const FixedScheduleModel& model,
+                       const mip::MipOptions& options) {
+  return solve_built(model, options);
 }
 
 }  // namespace tvnep::core

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "mip/branch_and_bound.hpp"
+#include "tvnep/fixed_schedule_model.hpp"
 #include "tvnep/formulation.hpp"
 #include "tvnep/types.hpp"
 
@@ -65,8 +66,10 @@ std::unique_ptr<Formulation> build_formulation(
 TvnepSolveResult solve(const net::TvnepInstance& instance, ModelKind kind,
                        const SolveParams& params);
 
-/// Solves an already built formulation with the given solver options.
+/// Solves an already built model with the given solver options.
 TvnepSolveResult solve(const Formulation& formulation,
+                       const mip::MipOptions& options);
+TvnepSolveResult solve(const FixedScheduleModel& model,
                        const mip::MipOptions& options);
 
 }  // namespace tvnep::core

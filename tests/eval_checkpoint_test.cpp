@@ -197,6 +197,31 @@ TEST_F(CheckpointTest, MalformedMiddleLineIsFatal) {
   EXPECT_THROW(SweepJournal::resume(path_, 3), ParseError);
 }
 
+TEST_F(CheckpointTest, OutOfRangeCellKeyIsAParseError) {
+  // A cell key that is no int (too large, negative, a fraction) must be a
+  // located ParseError, never an undefined int cast.
+  for (const std::string key : {"\"flex_index\":1e20,\"seed\":0",
+                                "\"flex_index\":0,\"seed\":1e20",
+                                "\"flex_index\":-1,\"seed\":0",
+                                "\"flex_index\":0,\"seed\":-1",
+                                "\"flex_index\":2.5,\"seed\":0",
+                                "\"flex_index\":0,\"seed\":2.5"}) {
+    auto journal = SweepJournal::create(path_, 3);
+    CellRecord a;
+    a.key = {"m", 0, 0};
+    ASSERT_TRUE(journal->append(a));
+    {
+      std::ofstream out(path_, std::ios::app);
+      out << "{\"label\":\"m\"," << key << ",\"fields\":{}}\n";
+    }
+    CellRecord b = a;
+    b.key.seed = 1;
+    ASSERT_TRUE(journal->append(b));
+    journal.reset();
+    EXPECT_THROW(SweepJournal::resume(path_, 3), ParseError) << key;
+  }
+}
+
 TEST_F(CheckpointTest, ResumeOfMissingFileDegradesToCreate) {
   auto journal = SweepJournal::resume(path_, 9);
   EXPECT_EQ(journal->loaded(), 0u);

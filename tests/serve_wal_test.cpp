@@ -129,6 +129,34 @@ TEST(ServeWal, CommitCodecRoundTripsByteExactly) {
   }
 }
 
+TEST(ServeWal, OutOfRangeIndicesAreParseErrors) {
+  // Node-mapping entries, virtual-link endpoints and sequence numbers
+  // that are no index (too large, negative, a fraction) must be located
+  // ParseErrors, never an undefined integer cast.
+  const auto commit = [](const std::string& link_from, const std::string& map,
+                         const std::string& nm, const std::string& seq) {
+    return "{\"seq\":" + seq +
+           ",\"id\":\"a\",\"fp\":false,\"start\":0,\"end\":1,"
+           "\"req\":{\"name\":\"a\",\"ts\":0,\"te\":1,\"d\":1,"
+           "\"nodes\":[1,1],\"links\":[[" +
+           link_from + ",1,1]]},\"map\":[" + map +
+           ",1],\"embed\":{\"start\":0,\"end\":1,\"nm\":[" + nm +
+           ",1],\"flow\":[]}}";
+  };
+  const auto decode = [](const std::string& text) {
+    return decode_commit(parse_json(text, "<test>"), "<test>", 1);
+  };
+  EXPECT_EQ(decode(commit("0", "0", "0", "0")).original.num_links(), 1);
+  for (const std::string bad : {"1e20", "-1", "2.5"}) {
+    EXPECT_THROW(decode(commit(bad, "0", "0", "0")), ParseError) << bad;
+    EXPECT_THROW(decode(commit("0", bad, "0", "0")), ParseError) << bad;
+    EXPECT_THROW(decode(commit("0", "0", bad, "0")), ParseError) << bad;
+    EXPECT_THROW(decode(commit("0", "0", "0", bad)), ParseError) << bad;
+  }
+  // An endpoint must also name one of the request's own nodes.
+  EXPECT_THROW(decode(commit("2", "0", "0", "0")), ParseError);
+}
+
 TEST(ServeWal, FullRunRecoversByteIdenticalState) {
   const workload::WorkloadParams p = trace_params();
   const workload::ArrivalTrace trace = workload::make_trace(p);
