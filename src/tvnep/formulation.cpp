@@ -36,7 +36,7 @@ Formulation::Formulation(const net::TvnepInstance& instance,
                                  ObjectiveKind::kBalanceNodeLoad,
                                  ObjectiveKind::kDisableLinks};
   for (const ObjectiveKind k : fixed_objectives)
-    if (options_.objective == k) options_.fix_all_requests = true;
+    if (options_.objective == k) all_admitted_ = true;
   if (options_.objective == ObjectiveKind::kGreedyStep)
     TVNEP_REQUIRE(options_.greedy_target.has_value(),
                   "greedy-step objective requires a target request");
@@ -63,7 +63,7 @@ void Formulation::build_embedding() {
   x_edge_.assign(static_cast<std::size_t>(num_r), {});
 
   auto fixed_to = [&](int r, double* value) {
-    if (options_.fix_all_requests) { *value = 1.0; return true; }
+    if (all_admitted_) { *value = 1.0; return true; }
     for (const int a : options_.force_accept)
       if (a == r) { *value = 1.0; return true; }
     for (const int b : options_.force_reject)

@@ -86,6 +86,8 @@ class Formulation {
  private:
   const net::TvnepInstance* instance_;
   BuildOptions options_;
+  // x_R = 1 for every request: the fixed-set objectives 2-4.
+  bool all_admitted_ = false;
   mip::Model model_;
 
   std::vector<mip::Var> x_request_;            // invalid when fixed

@@ -48,9 +48,6 @@ struct BuildOptions {
   std::vector<int> force_accept;
   std::vector<int> force_reject;
 
-  /// Fixes x_R = 1 for every request (the fixed-set objectives 2-4).
-  bool fix_all_requests = false;
-
   /// For kGreedyStep: the request being inserted.
   std::optional<int> greedy_target;
 };
