@@ -19,6 +19,8 @@ int main(int argc, char** argv) {
   // The per-variant copies below share this journal; the variant name in
   // each cell key keeps their records apart.
   bench::attach_resilience(args, config, "abl_depcuts");
+  const auto announce = bench::progress_announcer(args);
+  bench::reject_unused_flags(args);
   bench::announce_threads(config);
 
   struct Variant {
@@ -39,7 +41,7 @@ int main(int argc, char** argv) {
     cfg.build.dependency_cuts = variant.dependency_cuts;
     cfg.build.pairwise_cuts = variant.pairwise_cuts;
     const auto outcomes = eval::run_model_sweep(
-        cfg, core::ModelKind::kCSigma, bench::progress_announcer(args));
+        cfg, core::ModelKind::kCSigma, announce);
     bench::save_outcomes_csv("abl_depcuts_cells.csv", variant.name, outcomes,
                              /*append=*/&variant != &variants[0]);
     const auto runtimes = eval::series_by_flexibility(

@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   bench::apply_quick_defaults(args, config, /*time_limit=*/8.0, /*seeds=*/2,
                               {0.0, 1.0, 2.0, 3.0});
   bench::attach_resilience(args, config, "fig4");
+  const auto announce = bench::progress_announcer(args);
+  bench::reject_unused_flags(args);
   bench::announce_threads(config);
 
   bool first_model = true;
@@ -28,7 +30,7 @@ int main(int argc, char** argv) {
         core::ModelKind::kCSigma}) {
     std::cerr << "model " << core::to_string(kind) << "...\n";
     const auto outcomes =
-        eval::run_model_sweep(config, kind, bench::progress_announcer(args));
+        eval::run_model_sweep(config, kind, announce);
     bench::save_outcomes_csv("fig4_cells.csv", core::to_string(kind), outcomes,
                              /*append=*/!first_model);
     first_model = false;

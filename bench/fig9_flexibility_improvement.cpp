@@ -19,10 +19,12 @@ int main(int argc, char** argv) {
   bench::apply_quick_defaults(args, config, /*time_limit=*/10.0, /*seeds=*/3,
                               {0.0, 1.0, 2.0, 3.0});
   bench::attach_resilience(args, config, "fig9");
+  const auto announce = bench::progress_announcer(args);
+  bench::reject_unused_flags(args);
   bench::announce_threads(config);
 
   const auto outcomes = eval::run_model_sweep(config, core::ModelKind::kCSigma,
-                                              bench::progress_announcer(args));
+                                              announce);
   bench::save_outcomes_csv("fig9_cells.csv",
                            core::to_string(core::ModelKind::kCSigma), outcomes);
 

@@ -3,8 +3,6 @@
 // building.
 #include <benchmark/benchmark.h>
 
-#include <map>
-
 #include "linalg/lu.hpp"
 #include "lp/simplex.hpp"
 #include "mip/branch_and_bound.hpp"
@@ -61,62 +59,6 @@ void BM_SimplexWarmRestart(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexWarmRestart)->Arg(50)->Arg(100)->Arg(200);
 
-// A sparse random LP: every row keeps `row_nnz` nonzeros regardless of
-// problem size, so basis density is size-independent — the regime where
-// the sparse-LU backend's per-iteration cost should stay sub-quadratic
-// while the dense explicit inverse pays O(m^2) per pivot.
-lp::Problem random_sparse_lp(int n, int m, int row_nnz, std::uint64_t seed) {
-  Rng rng(seed);
-  lp::Problem p;
-  for (int j = 0; j < n; ++j)
-    p.add_column(0.0, static_cast<double>(rng.uniform_int(1, 5)),
-                 static_cast<double>(rng.uniform_int(-5, 5)));
-  for (int i = 0; i < m; ++i) {
-    std::map<int, double> coeffs;
-    while (static_cast<int>(coeffs.size()) < row_nnz)
-      coeffs[rng.uniform_int(0, n - 1)] =
-          static_cast<double>(rng.uniform_int(1, 3));
-    p.add_row(-lp::kInfinity, static_cast<double>(rng.uniform_int(5, 15)),
-              {coeffs.begin(), coeffs.end()});
-  }
-  p.finalize();
-  return p;
-}
-
-// The basis-backend scaling pair (ISSUE acceptance: on sparse LPs the
-// sparse-LU backend's per-iteration cost grows sub-quadratically in m, the
-// dense explicit inverse at least quadratically). The "iters" counter is a
-// rate — simplex iterations per second — whose inverse is the
-// per-iteration cost the pair compares across the m axis; "fill" is the
-// worst nnz(factors)/nnz(B) the backend reported.
-void BM_SimplexBasisBackend(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const lp::Problem p = random_sparse_lp(m, m, 8, 42);
-  lp::SimplexOptions options;
-  options.basis = state.range(1) != 0 ? lp::BasisBackend::kSparseLu
-                                      : lp::BasisBackend::kDenseInverse;
-  long iters = 0;
-  double fill = 0.0;
-  for (auto _ : state) {
-    lp::Simplex s(p, options);
-    benchmark::DoNotOptimize(s.solve());
-    iters += s.stats().phase1_iterations + s.stats().phase2_iterations;
-    fill = s.stats().basis_fill_max;
-  }
-  state.counters["iters"] = benchmark::Counter(static_cast<double>(iters),
-                                               benchmark::Counter::kIsRate);
-  state.counters["fill"] = fill;
-}
-BENCHMARK(BM_SimplexBasisBackend)
-    ->ArgNames({"m", "sparse"})
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({200, 0})
-    ->Args({200, 1})
-    ->Args({400, 0})
-    ->Args({400, 1})
-    ->Unit(benchmark::kMillisecond);
-
 // A simplex-shaped basis for the factorize pair: every column is the -1
 // slack of its own row except a `structural_pct` share of structural
 // columns, each a diagonal entry plus three off-diagonal entries at
@@ -164,45 +106,6 @@ BENCHMARK(BM_SparseLuFactorize)
     ->Args({8000, 0})
     ->Args({8000, 30})
     ->Unit(benchmark::kMicrosecond);
-
-// The fixed-column pricing pair (bugfix: Dantzig pricing used to rescan
-// fixed lb == ub columns on every pass). 90% of the columns are fixed at
-// zero — the shape presolve's variable fixing hands the node LPs. Arg 0 is
-// the default candidate-list pricing that drops fixed columns once per
-// solve attempt; arg 1 re-enables the historical scan-everything behavior
-// via SimplexOptions::price_fixed_columns.
-void BM_SimplexFixedColumnPricing(benchmark::State& state) {
-  const int n = 500;
-  Rng rng(11);
-  lp::Problem p;
-  for (int j = 0; j < n; ++j) {
-    const double upper = j % 10 == 0 ? 5.0 : 0.0;  // 90% fixed at 0
-    p.add_column(0.0, upper, static_cast<double>(rng.uniform_int(-5, 5)));
-  }
-  for (int i = 0; i < n / 2; ++i) {
-    std::vector<std::pair<int, double>> coeffs;
-    for (int j = 0; j < n; ++j)
-      if (rng.uniform01() < 0.3)
-        coeffs.emplace_back(j, static_cast<double>(rng.uniform_int(-3, 3)));
-    p.add_row(-lp::kInfinity, static_cast<double>(rng.uniform_int(1, 10)),
-              coeffs);
-  }
-  p.finalize();
-  lp::SimplexOptions options;
-  // Full-scan Dantzig so both arms walk the identical pivot sequence (the
-  // partial-pricing window scales with the candidate count and would
-  // otherwise change the path); the delta is the pure scan overhead.
-  options.pricing = lp::PricingRule::kDantzig;
-  options.price_fixed_columns = state.range(0) != 0;
-  for (auto _ : state) {
-    lp::Simplex s(p, options);
-    benchmark::DoNotOptimize(s.solve());
-  }
-}
-BENCHMARK(BM_SimplexFixedColumnPricing)
-    ->ArgNames({"price_fixed"})
-    ->Arg(0)
-    ->Arg(1);
 
 void BM_MipKnapsack(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

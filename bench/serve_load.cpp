@@ -58,6 +58,7 @@
 #include "serve/slo.hpp"
 #include "serve/wal.hpp"
 #include "support/atomic_file.hpp"
+#include "support/stats.hpp"
 #include "support/stopwatch.hpp"
 #include "workload/trace.hpp"
 
@@ -95,13 +96,19 @@ struct ModeResult {
   long wal_appends = 0;
   long wal_fsyncs = 0;
   long wal_snapshots = 0;
-  obs::HistogramSnapshot latency_ms;
+  // Every request's latency. Quantiles come from these samples, not from
+  // log2 histogram buckets: a bucket-interpolated p99 in [16, 32) ms is
+  // off by several ms, more than the WAL A/B gate's bound.
+  std::vector<double> latencies_ms;
   double total_seconds = 0.0;
 
   double req_per_s() const {
     return total_seconds > 0.0
                ? static_cast<double>(requests) / total_seconds
                : 0.0;
+  }
+  double latency_quantile_ms(double q) const {
+    return latencies_ms.empty() ? 0.0 : quantile(latencies_ms, q);
   }
 };
 
@@ -204,7 +211,7 @@ ModeResult run_mode(const workload::ArrivalTrace& trace,
             wal->write_snapshot(s);
           });
 
-    result.latency_ms.observe(latency_ms);
+    result.latencies_ms.push_back(latency_ms);
     obs::histogram_observe("serve.admit.latency_ms", latency_ms);
     ++result.requests;
     if (accepted) {
@@ -256,8 +263,9 @@ void print_result(const ModeResult& r) {
       "budget=%.2f  wal=%ld/%ld/%ld  %.1f req/s (%.2fs total)\n",
       r.mode.c_str(), r.wal.c_str(), r.requests, r.accepted, r.shed,
       r.shed_aged, r.reject_overload, r.revenue, r.reopt_installs,
-      r.reopt_passes, r.reopt_stale, r.latency_ms.p50(), r.latency_ms.p90(),
-      r.latency_ms.p99(), r.latency_ms.count > 0 ? r.latency_ms.max : 0.0,
+      r.reopt_passes, r.reopt_stale, r.latency_quantile_ms(0.50),
+      r.latency_quantile_ms(0.90), r.latency_quantile_ms(0.99),
+      r.latency_quantile_ms(1.0),
       r.max_queue_depth, r.mean_queue_depth, r.slo_budget_remaining,
       r.wal_appends, r.wal_fsyncs, r.wal_snapshots, r.req_per_s(),
       r.total_seconds);
@@ -372,11 +380,11 @@ int main(int argc, char** argv) {
       if (off == nullptr) continue;
       for (const ModeResult& r : results) {
         if (r.mode != m || r.wal == "off") continue;
-        const double base = off->latency_ms.p99();
+        const double base = off->latency_quantile_ms(0.99);
+        const double p99 = r.latency_quantile_ms(0.99);
         std::printf("wal p99 %-6s %-5s: %.2fms vs %.2fms off (%+.1f%%)\n",
-                    m.c_str(), r.wal.c_str(), r.latency_ms.p99(), base,
-                    base > 0.0 ? 100.0 * (r.latency_ms.p99() - base) / base
-                               : 0.0);
+                    m.c_str(), r.wal.c_str(), p99, base,
+                    base > 0.0 ? 100.0 * (p99 - base) / base : 0.0);
       }
     }
   }
@@ -397,9 +405,10 @@ int main(int argc, char** argv) {
                    << r.reject_overload << ',' << r.revenue << ','
                    << r.reopt_passes << ',' << r.reopt_installs << ','
                    << r.reopt_stale << ','
-                   << r.latency_ms.p50() << ',' << r.latency_ms.p90() << ','
-                   << r.latency_ms.p99() << ','
-                   << (r.latency_ms.count > 0 ? r.latency_ms.max : 0.0) << ','
+                   << r.latency_quantile_ms(0.50) << ','
+                   << r.latency_quantile_ms(0.90) << ','
+                   << r.latency_quantile_ms(0.99) << ','
+                   << r.latency_quantile_ms(1.0) << ','
                    << r.max_queue_depth << ',' << r.mean_queue_depth << ','
                    << r.slo_budget_remaining << ','
                    << r.wal_appends << ',' << r.wal_fsyncs << ','

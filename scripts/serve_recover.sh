@@ -11,9 +11,9 @@
 #     "recovered" line), serves the remainder of the trace with zero
 #     protocol errors, and drains cleanly,
 #   * the final state accounts for every request exactly once,
-#   * the durability tax is bounded: serve_load --wal-ab p99 with batch
-#     fsync stays within 15% (plus a small absolute floor for timer
-#     noise) of the no-WAL baseline.
+#   * the durability tax is bounded: over five serve_load --wal-ab runs,
+#     the median batch-fsync p99 stays within 15% (plus a small absolute
+#     floor for timer noise) of the median no-WAL p99.
 # Artifacts (recover_requests.ndjson, recover_phase1.ndjson,
 # recover_phase2.ndjson, recover_state*.json, serve_recover_ab.csv) are
 # left in the working directory for upload.
@@ -135,22 +135,48 @@ print(f"serve_recover: final state holds all {requests} decisions, "
 EOF
 
 # --- durability tax: WAL A/B p99 bound --------------------------------------
-./build/bench/serve_load --scale 5 --mode greedy --wal-ab \
-  --state-dir serve_recover_ab_state --csv serve_recover_ab.csv
-python3 - <<'EOF'
-import csv
+# One run's p99 is a single tail sample: at 20-30 ms p99s the batch-minus-off
+# difference moves by more than the bound from run to run, so the gate
+# compares medians over repeated runs (serve_load computes each p99 from its
+# raw per-request latencies). serve_recover_ab.csv keeps every run.
+ab_runs=5
+for run in $(seq 1 "$ab_runs"); do
+  ./build/bench/serve_load --scale 5 --mode greedy --wal-ab \
+    --state-dir serve_recover_ab_state --csv "serve_recover_ab_$run.csv"
+done
+AB_RUNS="$ab_runs" python3 - <<'EOF'
+import csv, os, statistics
 
-rows = {r["wal"]: r for r in csv.DictReader(open("serve_recover_ab.csv"))
-        if r["mode"] == "greedy"}
-off = float(rows["off"]["p99_ms"])
-batch = float(rows["batch"]["p99_ms"])
+runs = int(os.environ["AB_RUNS"])
+merged, p99 = [], {"off": [], "batch": [], "every": []}
+for run in range(1, runs + 1):
+    path = f"serve_recover_ab_{run}.csv"
+    for row in csv.DictReader(open(path)):
+        if row["mode"] != "greedy":
+            continue
+        merged.append({"run": run, **row})
+        p99[row["wal"]].append(float(row["p99_ms"]))
+    os.remove(path)
+with open("serve_recover_ab.csv", "w", newline="") as f:
+    writer = csv.DictWriter(f, fieldnames=list(merged[0]))
+    writer.writeheader()
+    writer.writerows(merged)
+
+assert all(len(v) == runs for v in p99.values()), \
+    f"expected {runs} greedy rows per WAL level, got " \
+    f"{ {k: len(v) for k, v in p99.items()} }"
+off = statistics.median(p99["off"])
+batch = statistics.median(p99["batch"])
+every = statistics.median(p99["every"])
 # 15% relative bar with a 5 ms absolute floor: at sub-millisecond
 # baselines the relative bar is pure timer noise.
 bound = max(off * 1.15, off + 5.0)
+per_run = " ".join(f"{o:.2f}/{b:.2f}" for o, b in zip(p99["off"], p99["batch"]))
+print(f"serve_recover: p99 off/batch per run (ms): {per_run}")
 assert batch <= bound, \
-    f"batch-fsync p99 {batch:.2f}ms exceeds bound {bound:.2f}ms " \
-    f"(off baseline {off:.2f}ms)"
-print(f"serve_recover: p99 off={off:.2f}ms batch={batch:.2f}ms "
-      f"every={float(rows['every']['p99_ms']):.2f}ms (bound {bound:.2f}ms)")
+    f"median batch-fsync p99 {batch:.2f}ms exceeds bound {bound:.2f}ms " \
+    f"(median off baseline {off:.2f}ms over {runs} runs)"
+print(f"serve_recover: median p99 over {runs} runs off={off:.2f}ms "
+      f"batch={batch:.2f}ms every={every:.2f}ms (bound {bound:.2f}ms)")
 EOF
 echo "serve_recover: OK"

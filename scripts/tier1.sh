@@ -23,4 +23,4 @@ cmake -B build-tsan -S . -DTVNEP_SANITIZE=thread
 cmake --build build-tsan -j "$jobs"
 (cd build-tsan && TSAN_OPTIONS=halt_on_error=1 \
    ctest --output-on-failure -j "$jobs" \
-   -R 'ParallelFor|HardwareParallelism|ForEachCell|RunModelSweep|RunGreedySweep|ObsConcurrent|WatchdogTest|RetryLadder|CheckpointTest|SimplexBackend|ServeDaemon|ServeReopt|ServeAdmission|ServeSlo|ServeTelemetry|ServeWal|ServeRecovery|ObsLog|ObsExposition')
+   -R 'ParallelFor|HardwareParallelism|ForEachCell|RunModelSweep|RunGreedySweep|ObsConcurrent|WatchdogTest|RetryLadder|CheckpointTest|SimplexCertificate|ServeDaemon|ServeReopt|ServeAdmission|ServeSlo|ServeTelemetry|ServeWal|ServeRecovery|ObsLog|ObsExposition')

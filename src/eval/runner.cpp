@@ -56,19 +56,6 @@ SweepConfig sweep_from_args(const Args& args, int default_requests,
   config.mip_cuts = !args.get_bool("no-cuts", false);
   config.rc_fixing = !args.get_bool("no-rc-fixing", false);
   config.lp_scaling = !args.get_bool("no-lp-scaling", false);
-  const std::string basis = args.get_string("basis", "sparse");
-  if (basis == "sparse") config.lp_basis = lp::BasisBackend::kSparseLu;
-  else if (basis == "dense") config.lp_basis = lp::BasisBackend::kDenseInverse;
-  else TVNEP_REQUIRE(false, "--basis must be 'sparse' or 'dense'");
-  const std::string pricing = args.get_string("pricing", "partial");
-  if (pricing == "partial")
-    config.lp_pricing = lp::PricingRule::kPartialDantzig;
-  else if (pricing == "dantzig")
-    config.lp_pricing = lp::PricingRule::kDantzig;
-  else if (pricing == "devex")
-    config.lp_pricing = lp::PricingRule::kDevex;
-  else
-    TVNEP_REQUIRE(false, "--pricing must be 'partial', 'dantzig' or 'devex'");
   config.lp_fault_period = args.get_int("lp-fault-period", 0);
   config.lp_fault_burst = args.get_int("lp-fault-burst", 1);
   TVNEP_REQUIRE(config.lp_fault_period >= 0,
@@ -289,8 +276,6 @@ std::string cell_tree_log_context(const char* label, double flexibility,
 void apply_lp_resilience(const SweepConfig& config, lp::SimplexOptions& lp,
                          int attempt) {
   lp.scaling = config.lp_scaling;
-  lp.basis = config.lp_basis;
-  lp.pricing = config.lp_pricing;
   if (config.lp_fault_period <= 0) return;
   auto counter = std::make_shared<long>(0);
   long period = config.lp_fault_period;

@@ -53,12 +53,6 @@ struct SweepConfig {
   bool mip_cuts = true;
   bool rc_fixing = true;
   bool lp_scaling = true;               // LP equilibration (`--no-lp-scaling`)
-  // LP basis backend (`--basis sparse|dense`) and primal pricing rule
-  // (`--pricing partial|dantzig|devex`) for every cell's node LPs. CI's
-  // basis-matrix leg runs the same sweep under both backends and diffs the
-  // resulting CSVs.
-  lp::BasisBackend lp_basis = lp::BasisBackend::kSparseLu;
-  lp::PricingRule lp_pricing = lp::PricingRule::kPartialDantzig;
   // Deterministic LP fault injection (`--lp-fault-period N`): every cell
   // gets its own hook that fails `lp_fault_burst` consecutive simplex
   // iterations out of every `lp_fault_period` hook consultations — burst 1
@@ -103,7 +97,6 @@ struct SweepConfig {
 ///   --no-cuts --no-rc-fixing
 ///   --no-lp-scaling --lp-fault-period N --lp-fault-burst B
 ///   --cell-timeout SEC --cell-retries N
-///   --basis sparse|dense --pricing partial|dantzig|devex
 SweepConfig sweep_from_args(const Args& args, int default_requests,
                             int default_rows, int default_cols,
                             int default_leaves);

@@ -1,7 +1,5 @@
 #include "linalg/dense.hpp"
 
-#include <cmath>
-
 #include "support/check.hpp"
 
 namespace tvnep::linalg {
@@ -38,36 +36,6 @@ void DenseMatrix::multiply_transposed(std::span<const double> x,
     if (xr == 0.0) continue;
     for (std::size_t c = 0; c < cols_; ++c) y[c] += xr * a[c];
   }
-}
-
-double DenseMatrix::distance(const DenseMatrix& other) const {
-  TVNEP_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
-                "distance: shape mismatch");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    const double d = data_[i] - other.data_[i];
-    sum += d * d;
-  }
-  return std::sqrt(sum);
-}
-
-double norm2(std::span<const double> x) {
-  double sum = 0.0;
-  for (double v : x) sum += v * v;
-  return std::sqrt(sum);
-}
-
-double norm_inf(std::span<const double> x) {
-  double best = 0.0;
-  for (double v : x) best = std::max(best, std::fabs(v));
-  return best;
-}
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  TVNEP_REQUIRE(a.size() == b.size(), "dot: length mismatch");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
-  return sum;
 }
 
 }  // namespace tvnep::linalg

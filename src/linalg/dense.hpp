@@ -1,4 +1,5 @@
-// Dense row-major matrix and small vector helpers for the simplex kernel.
+// Dense row-major matrix: the input of LuFactorization, which the tests'
+// vertex-enumeration oracle solves its small systems with.
 #pragma once
 
 #include <cstddef>
@@ -41,22 +42,10 @@ class DenseMatrix {
   void multiply_transposed(std::span<const double> x,
                            std::span<double> y) const;
 
-  /// Frobenius-norm distance to another same-shape matrix.
-  double distance(const DenseMatrix& other) const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Euclidean norm.
-double norm2(std::span<const double> x);
-
-/// Infinity norm.
-double norm_inf(std::span<const double> x);
-
-/// Dot product of equal-length spans.
-double dot(std::span<const double> a, std::span<const double> b);
 
 }  // namespace tvnep::linalg

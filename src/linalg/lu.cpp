@@ -56,7 +56,6 @@ std::optional<LuFactorization> LuFactorization::factorize(
       for (std::size_t c = 0; c < n; ++c)
         std::swap(f.lu_(k, c), f.lu_(pivot_row, c));
       std::swap(f.perm_[k], f.perm_[pivot_row]);
-      f.sign_ = -f.sign_;
     }
     const double inv_pivot = 1.0 / f.lu_(k, k);
     for (std::size_t r = k + 1; r < n; ++r) {
@@ -109,25 +108,6 @@ void LuFactorization::solve_transposed(std::span<double> b) const {
   }
   // Undo the permutation: x = P^T y.
   for (std::size_t i = 0; i < n; ++i) b[perm_[i]] = y[i];
-}
-
-DenseMatrix LuFactorization::inverse() const {
-  const std::size_t n = order();
-  DenseMatrix inv(n, n);
-  std::vector<double> e(n, 0.0);
-  for (std::size_t c = 0; c < n; ++c) {
-    std::fill(e.begin(), e.end(), 0.0);
-    e[c] = 1.0;
-    solve(e);
-    for (std::size_t r = 0; r < n; ++r) inv(r, c) = e[r];
-  }
-  return inv;
-}
-
-double LuFactorization::determinant() const {
-  double det = static_cast<double>(sign_);
-  for (std::size_t i = 0; i < order(); ++i) det *= lu_(i, i);
-  return det;
 }
 
 // ---------------------------------------------------------------------------
@@ -525,94 +505,6 @@ double SparseLuBasis::fill_ratio() const {
       l_entries_.size() + u_entries_.size() + static_cast<std::size_t>(m_);
   return static_cast<double>(factor_nnz) /
          static_cast<double>(std::max<std::size_t>(basis_nnz_, 1));
-}
-
-// ---------------------------------------------------------------------------
-// DenseInverseBasis
-// ---------------------------------------------------------------------------
-
-bool DenseInverseBasis::factorize(const BasisColumns& basis,
-                                  LuFailure* failure) {
-  const int m = basis.rows();
-  TVNEP_REQUIRE(basis.cols() == m, "basis factorize: not square");
-  m_ = m;
-  basis_nnz_ = basis.nonzeros();
-  updates_ = 0;
-  const auto um = static_cast<std::size_t>(m);
-  scratch_.assign(um, 0.0);
-  DenseMatrix b(um, um);
-  for (int c = 0; c < m; ++c)
-    for (const auto& e : basis.column(c))
-      b(static_cast<std::size_t>(e.index), static_cast<std::size_t>(c)) =
-          e.value;
-  auto lu = LuFactorization::factorize(b, pivot_tol_, failure);
-  if (!lu.has_value()) {
-    m_ = 0;
-    return false;
-  }
-  const DenseMatrix inv = lu->inverse();
-  inv_.resize(um * um);
-  for (std::size_t r = 0; r < um; ++r)
-    for (std::size_t c = 0; c < um; ++c) inv_[r * um + c] = inv(r, c);
-  return true;
-}
-
-void DenseInverseBasis::ftran(std::span<double> x) const {
-  TVNEP_REQUIRE(x.size() == static_cast<std::size_t>(m_),
-                "ftran: vector length mismatch");
-  const auto um = static_cast<std::size_t>(m_);
-  std::copy(x.begin(), x.end(), scratch_.begin());
-  for (std::size_t i = 0; i < um; ++i) {
-    const double* row = inv_.data() + i * um;
-    double sum = 0.0;
-    for (std::size_t k = 0; k < um; ++k) {
-      const double t = scratch_[k];
-      if (t != 0.0) sum += row[k] * t;
-    }
-    x[i] = sum;
-  }
-}
-
-void DenseInverseBasis::btran(std::span<double> x) const {
-  TVNEP_REQUIRE(x.size() == static_cast<std::size_t>(m_),
-                "btran: vector length mismatch");
-  const auto um = static_cast<std::size_t>(m_);
-  std::fill(scratch_.begin(), scratch_.end(), 0.0);
-  for (std::size_t i = 0; i < um; ++i) {
-    const double w = x[i];
-    if (w == 0.0) continue;
-    const double* row = inv_.data() + i * um;
-    for (std::size_t k = 0; k < um; ++k) scratch_[k] += w * row[k];
-  }
-  std::copy(scratch_.begin(), scratch_.end(), x.begin());
-}
-
-bool DenseInverseBasis::update(int leaving_row, std::span<const double> alpha) {
-  TVNEP_REQUIRE(alpha.size() == static_cast<std::size_t>(m_),
-                "basis update: vector length mismatch");
-  TVNEP_REQUIRE(leaving_row >= 0 && leaving_row < m_,
-                "basis update: row out of range");
-  // Product-form update of the explicit inverse — the historical simplex
-  // `update_binv` arithmetic, preserved verbatim for reproducibility.
-  const auto um = static_cast<std::size_t>(m_);
-  const auto ur = static_cast<std::size_t>(leaving_row);
-  const double inv_pivot = 1.0 / alpha[ur];
-  double* pivot_row = inv_.data() + ur * um;
-  for (std::size_t k = 0; k < um; ++k) pivot_row[k] *= inv_pivot;
-  for (std::size_t i = 0; i < um; ++i) {
-    if (i == ur) continue;
-    const double factor = alpha[i];
-    if (factor == 0.0) continue;
-    double* row = inv_.data() + i * um;
-    for (std::size_t k = 0; k < um; ++k) row[k] -= factor * pivot_row[k];
-  }
-  ++updates_;
-  return true;
-}
-
-double DenseInverseBasis::fill_ratio() const {
-  const double dense = static_cast<double>(m_) * static_cast<double>(m_);
-  return dense / static_cast<double>(std::max<std::size_t>(basis_nnz_, 1));
 }
 
 }  // namespace tvnep::linalg

@@ -2,21 +2,19 @@
 //
 // Two layers live here:
 //
-//  * `LuFactorization` — dense LU with partial pivoting, used by tests to
-//    cross-check basis maintenance and as a general small-system solver.
-//    A breakdown (no pivot above the combined absolute/relative threshold)
-//    is reported as a structured `LuFailure` instead of silently producing
-//    Inf/NaN factors.
+//  * `LuFactorization` — dense LU with partial pivoting, the small-system
+//    solver behind the tests' vertex-enumeration oracle. A breakdown (no
+//    pivot above the combined absolute/relative threshold) is reported as
+//    a structured `LuFailure` instead of silently producing Inf/NaN
+//    factors.
 //
-//  * `BasisFactorization` — the abstract basis-maintenance interface the
-//    revised simplex drives: factorize the basis from its sparse columns,
-//    FTRAN/BTRAN solves, and a rank-one exchange update after each pivot.
-//    `SparseLuBasis` implements it with a sparse LU under Markowitz
-//    threshold pivoting plus product-form (sparse eta) updates in the
-//    Forrest–Tomlin spirit: the factorization is reused across pivots and
-//    only rebuilt when the update is numerically unsafe or the eta file
-//    has grown past its budget. `DenseInverseBasis` keeps the historical
-//    explicit m×m inverse as a selectable debug/reference backend.
+//  * `SparseLuBasis` — the basis maintenance the revised simplex drives:
+//    factorize the basis from its sparse columns, FTRAN/BTRAN solves, and
+//    a rank-one exchange update after each pivot. It is a sparse LU under
+//    Markowitz threshold pivoting plus product-form (sparse eta) updates
+//    in the Forrest–Tomlin spirit: the factorization is reused across
+//    pivots and only rebuilt when the update is numerically unsafe or the
+//    eta file has grown past its budget.
 #pragma once
 
 #include <array>
@@ -66,62 +64,21 @@ class LuFactorization {
   /// Solves A^T x = b in place.
   void solve_transposed(std::span<double> b) const;
 
-  /// Explicit inverse (order^2 memory; intended for moderate sizes).
-  DenseMatrix inverse() const;
-
-  /// Determinant (sign-adjusted product of pivots).
-  double determinant() const;
-
  private:
   LuFactorization() = default;
   DenseMatrix lu_;              // packed L (unit diagonal) and U
   std::vector<std::size_t> perm_;  // row permutation: row i of PA is perm_[i] of A
-  int sign_ = 1;
 };
 
-/// Basis maintenance for the revised simplex. The basis B is the m×m
+/// Basis maintenance for the revised simplex: a sparse LU with Markowitz
+/// threshold pivoting plus product-form updates. The basis B is the m×m
 /// matrix whose column i is the system column of the variable basic in row
 /// i; FTRAN maps a row-space right-hand side to basis-position space
 /// (x = B^-1 b) and BTRAN the other way (y = B^-T c). Both solves operate
 /// in place on a dense length-m span. `update` performs the rank-one
 /// column exchange of a simplex pivot; a `false` return (numerically
-/// unsafe, or the incremental representation has outgrown its budget)
-/// obliges the caller to `factorize` the new basis before the next solve.
-class BasisFactorization {
- public:
-  virtual ~BasisFactorization() = default;
-
-  virtual const char* name() const = 0;
-
-  /// Factorizes the basis given in column-major sparse form. Returns false
-  /// when the basis is singular to working precision; `failure` (optional)
-  /// receives the breakdown details.
-  virtual bool factorize(const BasisColumns& basis,
-                         LuFailure* failure = nullptr) = 0;
-
-  virtual int order() const = 0;
-
-  /// In-place FTRAN: on entry x holds b (row space), on exit B^-1 b.
-  virtual void ftran(std::span<double> x) const = 0;
-
-  /// In-place BTRAN: on entry x holds c (basis-position space), on exit
-  /// B^-T c (row space).
-  virtual void btran(std::span<double> x) const = 0;
-
-  /// Basis exchange: the column at position `leaving_row` is replaced by
-  /// the entering column whose FTRAN image is `alpha` (length m). Returns
-  /// false when the caller must refactorize instead.
-  virtual bool update(int leaving_row, std::span<const double> alpha) = 0;
-
-  /// Updates absorbed since the last factorize (telemetry).
-  virtual long updates_since_factorize() const = 0;
-
-  /// nnz(factors) / nnz(B) of the last factorization (fill-in telemetry;
-  /// the dense backend reports m^2 / nnz(B) — the price of density).
-  virtual double fill_ratio() const = 0;
-};
-
-/// Sparse LU with Markowitz threshold pivoting + product-form updates.
+/// unsafe, or the eta file has outgrown its budget) obliges the caller to
+/// `factorize` the new basis before the next solve.
 ///
 /// Factorization is a right-looking elimination choosing, at each stage,
 /// the entry minimizing the Markowitz cost (r_i - 1)(c_j - 1) among the
@@ -129,7 +86,7 @@ class BasisFactorization {
 /// |a_ij| >= markowitz_tol * max|a_*j| (and the absolute/relative
 /// singularity floor of `LuFailure`). Pivots land where they keep the
 /// factors sparse, so FTRAN/BTRAN cost O(nnz(L+U) + nnz(etas)) instead of
-/// the dense inverse's O(m^2).
+/// a dense inverse's O(m^2).
 ///
 /// The candidates of a stage are the first four active, non-empty columns
 /// in (count, index) order. They come from count buckets (one bitset per
@@ -145,7 +102,7 @@ class BasisFactorization {
 /// update is refused — forcing a refactorization — when the eta pivot
 /// |alpha_r| < update_tol, when `max_updates` etas have accumulated, or
 /// when the eta file outweighs the factors by 4x.
-class SparseLuBasis final : public BasisFactorization {
+class SparseLuBasis {
  public:
   explicit SparseLuBasis(int max_updates = 64, double pivot_tol = 1e-11,
                          double markowitz_tol = 0.1,
@@ -155,17 +112,32 @@ class SparseLuBasis final : public BasisFactorization {
         markowitz_tol_(markowitz_tol),
         update_tol_(update_tol) {}
 
-  const char* name() const override { return "sparse-lu"; }
-  bool factorize(const BasisColumns& basis,
-                 LuFailure* failure = nullptr) override;
-  int order() const override { return m_; }
-  void ftran(std::span<double> x) const override;
-  void btran(std::span<double> x) const override;
-  bool update(int leaving_row, std::span<const double> alpha) override;
-  long updates_since_factorize() const override {
+  /// Factorizes the basis given in column-major sparse form. Returns false
+  /// when the basis is singular to working precision; `failure` (optional)
+  /// receives the breakdown details.
+  bool factorize(const BasisColumns& basis, LuFailure* failure = nullptr);
+
+  int order() const { return m_; }
+
+  /// In-place FTRAN: on entry x holds b (row space), on exit B^-1 b.
+  void ftran(std::span<double> x) const;
+
+  /// In-place BTRAN: on entry x holds c (basis-position space), on exit
+  /// B^-T c (row space).
+  void btran(std::span<double> x) const;
+
+  /// Basis exchange: the column at position `leaving_row` is replaced by
+  /// the entering column whose FTRAN image is `alpha` (length m). Returns
+  /// false when the caller must refactorize instead.
+  bool update(int leaving_row, std::span<const double> alpha);
+
+  /// Updates absorbed since the last factorize (telemetry).
+  long updates_since_factorize() const {
     return static_cast<long>(etas_.size());
   }
-  double fill_ratio() const override;
+
+  /// nnz(factors) / nnz(B) of the last factorization (fill-in telemetry).
+  double fill_ratio() const;
 
  private:
   int max_updates_;
@@ -240,33 +212,6 @@ class SparseLuBasis final : public BasisFactorization {
   std::vector<int> mark_;    // equals the current stamp
   std::vector<int> fill_;
   std::vector<SparseEntry> col_buf_;  // active entries of a scored column
-};
-
-/// The historical dense explicit-inverse backend, kept selectable for
-/// debugging and as the reference arm of the backend-equivalence tests.
-/// O(m^2) memory, O(m^2) per solve and per update.
-class DenseInverseBasis final : public BasisFactorization {
- public:
-  explicit DenseInverseBasis(double pivot_tol = 1e-12)
-      : pivot_tol_(pivot_tol) {}
-
-  const char* name() const override { return "dense-inverse"; }
-  bool factorize(const BasisColumns& basis,
-                 LuFailure* failure = nullptr) override;
-  int order() const override { return m_; }
-  void ftran(std::span<double> x) const override;
-  void btran(std::span<double> x) const override;
-  bool update(int leaving_row, std::span<const double> alpha) override;
-  long updates_since_factorize() const override { return updates_; }
-  double fill_ratio() const override;
-
- private:
-  double pivot_tol_;
-  int m_ = 0;
-  std::size_t basis_nnz_ = 0;
-  long updates_ = 0;
-  std::vector<double> inv_;  // row-major m×m B^-1
-  mutable std::vector<double> scratch_;
 };
 
 }  // namespace tvnep::linalg

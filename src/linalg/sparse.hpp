@@ -40,8 +40,8 @@ class SparseBuilder {
   std::vector<Triplet> triplets_;
 };
 
-/// Column-major assembly buffer for handing a square basis matrix to a
-/// BasisFactorization (linalg/lu.hpp) without the sort/deduplicate cost of
+/// Column-major assembly buffer for handing a square basis matrix to
+/// SparseLuBasis (linalg/lu.hpp) without the sort/deduplicate cost of
 /// SparseBuilder: the simplex appends one column per basic variable, rows
 /// within a column in whatever order the source stores them. Rows must not
 /// repeat within a column (SparseMatrix columns are already deduplicated).

@@ -30,7 +30,9 @@ const char* to_string(SolveStatus status) {
 }
 
 Simplex::Simplex(const Problem& problem, SimplexOptions options)
-    : problem_(&problem), options_(std::move(options)) {
+    : problem_(&problem),
+      options_(std::move(options)),
+      factor_(std::max(1, options_.refactor_interval)) {
   TVNEP_REQUIRE(problem.finalized(), "Simplex requires a finalized problem");
   if (options_.scaling) build_scaling(problem);
   num_structural_ = problem.num_columns();
@@ -48,17 +50,6 @@ Simplex::Simplex(const Problem& problem, SimplexOptions options)
     options_.max_iterations = std::max(20000, 60 * (n + m));
   if (options_.max_dual_iterations <= 0)
     options_.max_dual_iterations = std::max(2000, 4 * m);
-  switch (options_.basis) {
-    case BasisBackend::kDenseInverse:
-      factor_ = std::make_unique<linalg::DenseInverseBasis>();
-      obs::counter_add("lp.basis.backend.dense_inverse");
-      break;
-    case BasisBackend::kSparseLu:
-      factor_ = std::make_unique<linalg::SparseLuBasis>(
-          std::max(1, options_.refactor_interval));
-      obs::counter_add("lp.basis.backend.sparse_lu");
-      break;
-  }
 }
 
 // Geometric-mean equilibration of the constraint matrix. Two sweeps of
@@ -180,7 +171,7 @@ void Simplex::ftran(int v, std::vector<double>& alpha) const {
     for (const auto& entry : mat().column(v))
       alpha[static_cast<std::size_t>(entry.index)] = entry.value;
   }
-  factor_->ftran(alpha);
+  factor_.ftran(alpha);
 }
 
 double Simplex::column_dot(int v, const std::vector<double>& y) const {
@@ -237,7 +228,7 @@ void Simplex::compute_basic_values() {
         rhs[static_cast<std::size_t>(entry.index)] -= entry.value * xv;
     }
   }
-  factor_->ftran(rhs);
+  factor_.ftran(rhs);
   for (int i = 0; i < m; ++i)
     x_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] =
         rhs[static_cast<std::size_t>(i)];
@@ -250,7 +241,7 @@ void Simplex::compute_duals_phase2(std::vector<double>& y) const {
   for (int i = 0; i < m; ++i)
     y[static_cast<std::size_t>(i)] =
         var_cost(basis_[static_cast<std::size_t>(i)]);
-  factor_->btran(y);
+  factor_.btran(y);
 }
 
 void Simplex::compute_duals_phase1(std::vector<double>& y) const {
@@ -265,7 +256,7 @@ void Simplex::compute_duals_phase1(std::vector<double>& y) const {
     else if (xv > upper(v) + tol) w = 1.0;
     y[static_cast<std::size_t>(i)] = w;
   }
-  factor_->btran(y);
+  factor_.btran(y);
 }
 
 double Simplex::infeasibility() const {
@@ -289,13 +280,10 @@ void Simplex::rebuild_pricing() {
     // never visits them. Presolve substitutes input-fixed columns away
     // before the LP even reaches the solver; the ones excluded here are
     // branch-and-bound fixings applied through set_bounds.
-    if (!options_.price_fixed_columns && upper(v) - lower(v) < 1e-14)
-      continue;
+    if (upper(v) - lower(v) < 1e-14) continue;
     pricing_candidates_.push_back(v);
   }
   pricing_cursor_ = 0;
-  if (options_.pricing == PricingRule::kDevex)
-    devex_weights_.assign(static_cast<std::size_t>(total), 1.0);
 }
 
 int Simplex::price(Phase phase, const std::vector<double>& y, bool bland,
@@ -335,36 +323,11 @@ int Simplex::price(Phase phase, const std::vector<double>& y, bool bland,
     return -1;
   }
 
-  if (options_.pricing == PricingRule::kDevex) {
-    int best = -1;
-    double best_score = 0.0;
-    double best_dir = 0.0;
-    for (const int v : pricing_candidates_) {
-      double d = 0.0;
-      const double dir = reduced(v, &d);
-      if (dir == 0.0) continue;
-      const double w =
-          std::max(devex_weights_[static_cast<std::size_t>(v)], 1e-12);
-      const double score = d * d / w;
-      if (best < 0 || score > best_score) {
-        best_score = score;
-        best = v;
-        best_dir = dir;
-      }
-    }
-    *direction = best_dir;
-    return best;
-  }
-
-  // Dantzig scoring. kDantzig scans the whole candidate list; the partial
-  // rule scans rotating windows from the cursor and takes the best of the
-  // first window containing an admissible candidate, so an iteration
-  // typically prices a fraction of the columns. Optimality is only
-  // declared after a full-list scan finds nothing.
-  const std::size_t window =
-      options_.pricing == PricingRule::kDantzig
-          ? count
-          : std::max<std::size_t>(64, count / 8);
+  // Partial Dantzig: scan rotating windows from the cursor and take the
+  // best of the first window containing an admissible candidate, so an
+  // iteration typically prices a fraction of the columns. Optimality is
+  // only declared after a full-list scan finds nothing.
+  const std::size_t window = std::max<std::size_t>(64, count / 8);
   std::size_t scanned = 0;
   while (scanned < count) {
     const std::size_t chunk = std::min(window, count - scanned);
@@ -492,48 +455,12 @@ void Simplex::apply_bound_flip(int entering, double direction, double step,
   }
 }
 
-void Simplex::update_devex(int entering, int leaving_row,
-                           const std::vector<double>& alpha,
-                           std::vector<double>& rho) {
-  const int m = num_rows();
-  const double apiv = alpha[static_cast<std::size_t>(leaving_row)];
-  if (std::fabs(apiv) < 1e-12) return;
-  const double wq =
-      std::max(devex_weights_[static_cast<std::size_t>(entering)], 1.0);
-  const double inv_apiv2 = 1.0 / (apiv * apiv);
-  // rho = B^-T e_r of the *outgoing* basis gives the pivot row needed for
-  // the reference-weight propagation.
-  rho.assign(static_cast<std::size_t>(m), 0.0);
-  rho[static_cast<std::size_t>(leaving_row)] = 1.0;
-  factor_->btran(rho);
-  double max_weight = 0.0;
-  for (const int v : pricing_candidates_) {
-    const auto uv = static_cast<std::size_t>(v);
-    if (v == entering || status_[uv] == VarStatus::kBasic) continue;
-    const double arj = column_dot(v, rho);
-    if (arj != 0.0) {
-      const double cand = wq * arj * arj * inv_apiv2;
-      if (cand > devex_weights_[uv]) devex_weights_[uv] = cand;
-    }
-    max_weight = std::max(max_weight, devex_weights_[uv]);
-  }
-  const int leaving = basis_[static_cast<std::size_t>(leaving_row)];
-  devex_weights_[static_cast<std::size_t>(leaving)] =
-      std::max(wq * inv_apiv2, 1.0);
-  devex_weights_[static_cast<std::size_t>(entering)] = 1.0;
-  if (max_weight > 1e7) {
-    // Weights have drifted far from the reference framework: restart it.
-    std::fill(devex_weights_.begin(), devex_weights_.end(), 1.0);
-    obs::counter_add("lp.pricing.devex_resets");
-  }
-}
-
 bool Simplex::apply_basis_update(int leaving_row,
                                  const std::vector<double>& alpha) {
   if (options_.basis_update_fault_hook &&
       options_.basis_update_fault_hook(total_pivots_)) {
     obs::counter_add("lp.basis.update_faults");
-  } else if (factor_->update(leaving_row, alpha)) {
+  } else if (factor_.update(leaving_row, alpha)) {
     ++stats_.basis_updates;
     return true;
   }
@@ -546,8 +473,6 @@ bool Simplex::pivot(int entering, double direction, const RatioResult& ratio,
                     const std::vector<double>& alpha) {
   const int r = ratio.leaving_row;
   const int leaving = basis_[static_cast<std::size_t>(r)];
-  if (options_.pricing == PricingRule::kDevex)
-    update_devex(entering, r, alpha, devex_rho_);
   for (int i = 0; i < num_rows(); ++i) {
     const double a = alpha[static_cast<std::size_t>(i)];
     if (a == 0.0) continue;
@@ -738,7 +663,7 @@ bool Simplex::dual_simplex(const Deadline& deadline, SolveStatus* status_out) {
     // rho = row r of B^-1, extracted as B^-T e_r.
     std::fill(rho.begin(), rho.end(), 0.0);
     rho[static_cast<std::size_t>(leaving_row)] = 1.0;
-    factor_->btran(rho);
+    factor_.btran(rho);
 
     const double e = below ? 1.0 : -1.0;  // desired change sign of x_B(r)
 
@@ -837,7 +762,7 @@ bool Simplex::dual_simplex(const Deadline& deadline, SolveStatus* status_out) {
         }
       }
       // x_B -= B^-1 * (A_flips · dx), one FTRAN for the whole batch.
-      factor_->ftran(aggregate);
+      factor_.ftran(aggregate);
       for (int i = 0; i < m; ++i)
         x_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] -=
             aggregate[static_cast<std::size_t>(i)];
@@ -917,7 +842,7 @@ bool Simplex::factorize_basis() {
     }
   }
   linalg::LuFailure failure;
-  if (!factor_->factorize(cols, &failure)) {
+  if (!factor_.factorize(cols, &failure)) {
     // Singular basis: surface the breakdown to the obs layer and report
     // failure so the caller's recovery ladder (refactorize → Bland →
     // perturb → cold restart) takes over.
@@ -930,7 +855,7 @@ bool Simplex::factorize_basis() {
     return false;
   }
   factor_valid_ = true;
-  const double fill = factor_->fill_ratio();
+  const double fill = factor_.fill_ratio();
   stats_.basis_fill_max = std::max(stats_.basis_fill_max, fill);
   obs::histogram_observe("lp.basis.fill", fill);
   compute_basic_values();
@@ -1133,7 +1058,7 @@ bool Simplex::tableau_row(int i, std::vector<double>* coeffs) const {
   // rho = B^-T e_i, then tableau entry a_iv = rho . A_v per column.
   std::vector<double> rho(static_cast<std::size_t>(num_rows()), 0.0);
   rho[static_cast<std::size_t>(i)] = 1.0;
-  factor_->btran(rho);
+  factor_.btran(rho);
   coeffs->assign(static_cast<std::size_t>(total), 0.0);
   for (int v = 0; v < total; ++v) {
     const double scaled = column_dot(v, rho);

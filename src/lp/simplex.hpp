@@ -1,4 +1,4 @@
-// Bounded-variable revised simplex over a pluggable basis factorization.
+// Bounded-variable revised simplex over a sparse LU basis factorization.
 //
 // The solver operates on the computational form of lp::Problem. Internally
 // one logical (slack) variable is appended per row:
@@ -9,20 +9,17 @@
 //
 // Provided algorithms:
 //  * primal simplex with a Phase-I infeasibility minimization (no big-M,
-//    no artificial variables), partial Dantzig pricing (full-scan Dantzig
-//    and Devex selectable via SimplexOptions::pricing) with a Bland
-//    fallback after degeneracy stalls;
+//    no artificial variables), partial Dantzig pricing over a rotating
+//    candidate window, with a Bland fallback after degeneracy stalls;
 //  * dual simplex used to re-optimize after bound changes (branch & bound
 //    warm starts); it refuses to run when the current basis is not dual
 //    feasible, in which case the caller falls back to the primal.
 //
-// Basis maintenance goes through linalg::BasisFactorization: the default
-// backend is a sparse LU with Markowitz threshold pivoting plus
-// product-form eta updates (sub-quadratic per iteration on sparse bases);
-// the historical dense explicit inverse remains selectable via
-// SimplexOptions::basis for debugging and A/B comparison. When an eta
-// update is numerically unsafe or the update budget is exhausted the
-// backend refuses it and the simplex refactorizes from the basis columns.
+// Basis maintenance is linalg::SparseLuBasis: a sparse LU with Markowitz
+// threshold pivoting plus product-form eta updates (sub-quadratic per
+// iteration on sparse bases). When an eta update is numerically unsafe or
+// the update budget is exhausted the factorization refuses it and the
+// simplex refactorizes from the basis columns.
 //
 // Numerical resilience: the constraint matrix is equilibrated with
 // power-of-two geometric-mean row/column scaling before Phase I (the TVNEP
@@ -37,7 +34,6 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "linalg/lu.hpp"
@@ -65,20 +61,6 @@ enum class VarStatus : unsigned char {
   kBasic,
 };
 
-/// Which linalg::BasisFactorization backend maintains the basis.
-enum class BasisBackend {
-  kSparseLu,       // sparse Markowitz LU + eta updates (default)
-  kDenseInverse,   // historical explicit dense inverse (debug/reference)
-};
-
-/// Entering-variable selection rule for the primal phases. Bland's rule
-/// (degeneracy/recovery fallback) overrides whichever rule is configured.
-enum class PricingRule {
-  kPartialDantzig,  // Dantzig scoring over a rotating candidate window
-  kDantzig,         // classic full-scan Dantzig (historical behavior)
-  kDevex,           // Devex reference-framework weights, full scan
-};
-
 struct SimplexOptions {
   double feasibility_tol = 1e-7;
   double optimality_tol = 1e-7;
@@ -103,20 +85,8 @@ struct SimplexOptions {
   // cold restart. Each rung taken is counted in SolveStats and surfaced as
   // an lp.recovery.* metric plus an lp.recover trace instant.
   bool recovery = true;
-  // Basis-maintenance backend (see BasisBackend). The dense inverse is
-  // kept selectable so tests and benches can A/B the two implementations.
-  BasisBackend basis = BasisBackend::kSparseLu;
-  // Primal pricing rule (see PricingRule).
-  PricingRule pricing = PricingRule::kPartialDantzig;
-  // Eta updates the sparse backend absorbs before it forces a
-  // refactorization. Ignored by the dense backend, whose product-form
-  // update never degrades capacity.
+  // Eta updates the sparse LU absorbs before it forces a refactorization.
   int refactor_interval = 64;
-  // Debug/bench escape hatch: keep fixed (lb == ub) columns in the pricing
-  // candidate list, as the historical full-scan pricing did. They can never
-  // profitably enter, so scanning them is pure overhead; micro_solver uses
-  // this flag for its before/after pricing pair.
-  bool price_fixed_columns = false;
   // Deterministic fault-injection seam (compiled always, null by default):
   // consulted once per simplex iteration with the lifetime pivot count; a
   // true return makes the current solve attempt fail numerically, exactly
@@ -145,8 +115,8 @@ struct SolveStats {
   long basis_updates = 0;
   // Periodic accuracy sweeps (basic-value recomputation) taken.
   int accuracy_sweeps = 0;
-  // Worst nnz(factors)/nnz(B) ratio across this solve's factorizations
-  // (the dense backend reports m^2/nnz(B)); 0 when none happened.
+  // Worst nnz(factors)/nnz(B) ratio across this solve's factorizations;
+  // 0 when none happened.
   double basis_fill_max = 0.0;
   bool warm_started = false;
   // A warm-start basis existed but the dual simplex could not finish the
@@ -303,9 +273,8 @@ class Simplex {
   void compute_duals_phase1(std::vector<double>& y) const;
   double infeasibility() const;
 
-  // Rebuilds the pricing candidate list (and Devex weights) for a solve
-  // attempt: every variable except those fixed by the working bounds
-  // (unless options_.price_fixed_columns keeps them for benchmarking).
+  // Rebuilds the pricing candidate list for a solve attempt: every
+  // variable except those fixed by the working bounds.
   void rebuild_pricing();
 
   // Returns entering variable (or -1) and its reduced cost / direction.
@@ -317,11 +286,6 @@ class Simplex {
 
   void apply_bound_flip(int entering, double direction, double step,
                         const std::vector<double>& alpha);
-  // Devex reference-weight maintenance; must run before the basis changes
-  // (it needs B^-T of the outgoing basis). `rho` is caller-owned scratch.
-  void update_devex(int entering, int leaving_row,
-                    const std::vector<double>& alpha,
-                    std::vector<double>& rho);
   // Performs the basis exchange; returns false when basis maintenance
   // failed beyond repair (update refused and refactorization failed too).
   bool pivot(int entering, double direction, const RatioResult& ratio,
@@ -382,17 +346,15 @@ class Simplex {
   std::vector<double> x_;       // current values, size num_vars()
   std::vector<VarStatus> status_;
   std::vector<int> basis_;      // size m: variable basic in each row
-  std::unique_ptr<linalg::BasisFactorization> factor_;
+  linalg::SparseLuBasis factor_;
   bool factor_valid_ = false;   // factor_ matches basis_ and is usable
   bool has_basis_ = false;
 
   // Pricing state, rebuilt per solve attempt: candidate variable indices
-  // (ascending, fixed columns excluded), the rotating partial-pricing
-  // cursor, and the Devex reference weights.
+  // (ascending, fixed columns excluded) and the rotating partial-pricing
+  // cursor.
   std::vector<int> pricing_candidates_;
   mutable std::size_t pricing_cursor_ = 0;
-  std::vector<double> devex_weights_;
-  std::vector<double> devex_rho_;  // BTRAN scratch for weight updates
 
   double objective_ = 0.0;
   std::vector<double> duals_;

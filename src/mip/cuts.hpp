@@ -4,7 +4,7 @@
 //
 //  * Gomory mixed-integer (GMI) cuts, read from the simplex tableau rows
 //    of fractional integer basic variables (lp::Simplex::tableau_row goes
-//    through the BasisFactorization::btran seam). Nonbasic slacks in a
+//    through the SparseLuBasis::btran seam). Nonbasic slacks in a
 //    tableau row are expanded back through their defining rows so every
 //    emitted cut is a structural-only `terms . x >= rhs` inequality that
 //    stays valid anywhere in the tree.

@@ -45,24 +45,5 @@ TEST(DenseMatrix, RowSpanIsMutable) {
   EXPECT_DOUBLE_EQ(a(1, 0), 7.0);
 }
 
-TEST(DenseMatrix, Distance) {
-  DenseMatrix a(1, 2), b(1, 2);
-  a(0, 0) = 3.0;
-  b(0, 1) = 4.0;
-  EXPECT_DOUBLE_EQ(a.distance(b), 5.0);
-}
-
-TEST(VectorOps, Norms) {
-  const std::vector<double> x{3.0, -4.0};
-  EXPECT_DOUBLE_EQ(norm2(x), 5.0);
-  EXPECT_DOUBLE_EQ(norm_inf(x), 4.0);
-}
-
-TEST(VectorOps, Dot) {
-  const std::vector<double> a{1.0, 2.0};
-  const std::vector<double> b{3.0, 4.0};
-  EXPECT_DOUBLE_EQ(dot(a, b), 11.0);
-}
-
 }  // namespace
 }  // namespace tvnep::linalg

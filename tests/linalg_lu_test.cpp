@@ -59,44 +59,12 @@ TEST(Lu, SolveTransposedMatchesMultiplyTransposed) {
   for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(b[i], x_true[i], 1e-9);
 }
 
-TEST(Lu, InverseTimesMatrixIsIdentity) {
-  const DenseMatrix a = random_matrix(5, 7);
-  auto lu = LuFactorization::factorize(a);
-  ASSERT_TRUE(lu.has_value());
-  const DenseMatrix inv = lu->inverse();
-  // Check A * inv == I column by column.
-  for (std::size_t c = 0; c < 5; ++c) {
-    std::vector<double> col(5), out(5);
-    for (std::size_t r = 0; r < 5; ++r) col[r] = inv(r, c);
-    a.multiply(col, out);
-    for (std::size_t r = 0; r < 5; ++r)
-      EXPECT_NEAR(out[r], r == c ? 1.0 : 0.0, 1e-9);
-  }
-}
-
 TEST(Lu, DetectsSingularMatrix) {
   DenseMatrix a(3, 3);
   a(0, 0) = 1; a(0, 1) = 2; a(0, 2) = 3;
   a(1, 0) = 2; a(1, 1) = 4; a(1, 2) = 6;  // row 1 = 2 * row 0
   a(2, 0) = 1; a(2, 1) = 0; a(2, 2) = 1;
   EXPECT_FALSE(LuFactorization::factorize(a).has_value());
-}
-
-TEST(Lu, DeterminantOfDiagonal) {
-  DenseMatrix a(3, 3);
-  a(0, 0) = 2; a(1, 1) = 3; a(2, 2) = 4;
-  auto lu = LuFactorization::factorize(a);
-  ASSERT_TRUE(lu.has_value());
-  EXPECT_NEAR(lu->determinant(), 24.0, 1e-12);
-}
-
-TEST(Lu, DeterminantTracksRowSwaps) {
-  DenseMatrix a(2, 2);
-  a(0, 1) = 1;  // permutation matrix [[0,1],[1,0]], det = -1
-  a(1, 0) = 1;
-  auto lu = LuFactorization::factorize(a);
-  ASSERT_TRUE(lu.has_value());
-  EXPECT_NEAR(lu->determinant(), -1.0, 1e-12);
 }
 
 TEST(Lu, RequiresPivotingMatrix) {
@@ -141,7 +109,7 @@ TEST(Lu, RelativePivotToleranceRejectsNearSingular) {
   EXPECT_NEAR(failure.pivot_magnitude, 512.0, 1e-6);
 }
 
-// ---- BasisFactorization backends --------------------------------------
+// ---- SparseLuBasis ------------------------------------------------------
 
 // Diagonally dominant tridiagonal basis: always factorizable, sparse.
 BasisColumns tridiagonal_basis(int m) {
@@ -204,34 +172,6 @@ TEST(BasisFactorization, SparseBtranSolvesAgainstTransposeMultiply) {
   for (int i = 0; i < m; ++i)
     EXPECT_NEAR(c[static_cast<std::size_t>(i)],
                 y_true[static_cast<std::size_t>(i)], 1e-9);
-}
-
-TEST(BasisFactorization, SparseMatchesDenseBackend) {
-  const int m = 9;
-  const BasisColumns b = tridiagonal_basis(m);
-  SparseLuBasis sparse;
-  DenseInverseBasis dense;
-  ASSERT_TRUE(sparse.factorize(b));
-  ASSERT_TRUE(dense.factorize(b));
-  std::vector<double> rhs(m), rhs2(m);
-  for (int i = 0; i < m; ++i) {
-    rhs[static_cast<std::size_t>(i)] = 0.5 * i - 1.0;
-    rhs2[static_cast<std::size_t>(i)] = rhs[static_cast<std::size_t>(i)];
-  }
-  sparse.ftran(rhs);
-  dense.ftran(rhs2);
-  for (int i = 0; i < m; ++i)
-    EXPECT_NEAR(rhs[static_cast<std::size_t>(i)],
-                rhs2[static_cast<std::size_t>(i)], 1e-9);
-  for (int i = 0; i < m; ++i) {
-    rhs[static_cast<std::size_t>(i)] = 3.0 - 0.7 * i;
-    rhs2[static_cast<std::size_t>(i)] = rhs[static_cast<std::size_t>(i)];
-  }
-  sparse.btran(rhs);
-  dense.btran(rhs2);
-  for (int i = 0; i < m; ++i)
-    EXPECT_NEAR(rhs[static_cast<std::size_t>(i)],
-                rhs2[static_cast<std::size_t>(i)], 1e-9);
 }
 
 TEST(BasisFactorization, EtaUpdateMatchesRefactorization) {
@@ -313,26 +253,20 @@ TEST(BasisFactorization, SingularBasisFailsWithStructuredFailure) {
     b.begin_column();
     b.add(1, 1.0);  // every column identical → rank 1
   }
-  SparseLuBasis sparse;
+  SparseLuBasis factor;
   LuFailure failure;
   failure.threshold = -1.0;
-  EXPECT_FALSE(sparse.factorize(b, &failure));
-  EXPECT_GE(failure.threshold, 0.0);  // populated by the backend
-  DenseInverseBasis dense;
-  EXPECT_FALSE(dense.factorize(b, &failure));
+  EXPECT_FALSE(factor.factorize(b, &failure));
+  EXPECT_GE(failure.threshold, 0.0);  // populated by the factorization
 }
 
 TEST(BasisFactorization, FillRatioReported) {
   const BasisColumns b = tridiagonal_basis(16);
-  SparseLuBasis sparse;
-  ASSERT_TRUE(sparse.factorize(b));
-  EXPECT_GT(sparse.fill_ratio(), 0.0);
+  SparseLuBasis factor;
+  ASSERT_TRUE(factor.factorize(b));
+  EXPECT_GT(factor.fill_ratio(), 0.0);
   // Tridiagonal elimination in natural order causes no fill at all.
-  EXPECT_LE(sparse.fill_ratio(), 1.5);
-  DenseInverseBasis dense;
-  ASSERT_TRUE(dense.factorize(b));
-  // The dense backend stores m^2 entries regardless of sparsity.
-  EXPECT_GT(dense.fill_ratio(), sparse.fill_ratio());
+  EXPECT_LE(factor.fill_ratio(), 1.5);
 }
 
 // ---- Pinned factors ----------------------------------------------------

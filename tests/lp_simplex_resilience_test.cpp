@@ -318,35 +318,27 @@ TEST(SimplexRecovery, WarmStartedResolveRecoversToo) {
 // exhausted, runaway eta fill) takes.
 
 TEST(SimplexBasisUpdateFault, RefusedUpdateFallsBackToRefactorize) {
-  for (const BasisBackend backend :
-       {BasisBackend::kSparseLu, BasisBackend::kDenseInverse}) {
-    const Problem p = make_reference_lp();
-    SimplexOptions opts;
-    opts.basis = backend;
-    opts.basis_update_fault_hook = fail_first(1);
-    Simplex s(p, opts);
-    ASSERT_EQ(s.solve(), SolveStatus::kOptimal);
-    EXPECT_NEAR(s.objective(), -7.0, 1e-9);
-    // The refusal is absorbed below the recovery ladder: the update's
-    // refactorization fallback clears it without a failed attempt.
-    EXPECT_GE(s.stats().refactorizations, 1);
-    EXPECT_EQ(s.stats().recoveries(), 0);
-  }
+  const Problem p = make_reference_lp();
+  SimplexOptions opts;
+  opts.basis_update_fault_hook = fail_first(1);
+  Simplex s(p, opts);
+  ASSERT_EQ(s.solve(), SolveStatus::kOptimal);
+  EXPECT_NEAR(s.objective(), -7.0, 1e-9);
+  // The refusal is absorbed below the recovery ladder: the update's
+  // refactorization fallback clears it without a failed attempt.
+  EXPECT_GE(s.stats().refactorizations, 1);
+  EXPECT_EQ(s.stats().recoveries(), 0);
 }
 
 TEST(SimplexBasisUpdateFault, EveryUpdateRefusedStillSolves) {
-  for (const BasisBackend backend :
-       {BasisBackend::kSparseLu, BasisBackend::kDenseInverse}) {
-    const Problem p = make_reference_lp();
-    SimplexOptions opts;
-    opts.basis = backend;
-    opts.basis_update_fault_hook = [](long) { return true; };
-    Simplex s(p, opts);
-    ASSERT_EQ(s.solve(), SolveStatus::kOptimal);
-    EXPECT_NEAR(s.objective(), -7.0, 1e-9);
-    EXPECT_EQ(s.stats().basis_updates, 0);  // no update ever succeeded
-    EXPECT_GE(s.stats().refactorizations, 1);
-  }
+  const Problem p = make_reference_lp();
+  SimplexOptions opts;
+  opts.basis_update_fault_hook = [](long) { return true; };
+  Simplex s(p, opts);
+  ASSERT_EQ(s.solve(), SolveStatus::kOptimal);
+  EXPECT_NEAR(s.objective(), -7.0, 1e-9);
+  EXPECT_EQ(s.stats().basis_updates, 0);  // no update ever succeeded
+  EXPECT_GE(s.stats().refactorizations, 1);
 }
 
 TEST(SimplexBasisUpdateFault, FaultedSolveMatchesCleanOnRandomLps) {
