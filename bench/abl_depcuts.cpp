@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   // each cell key keeps their records apart.
   bench::attach_resilience(args, config, "abl_depcuts");
   const auto announce = bench::progress_announcer(args);
-  bench::reject_unused_flags(args);
+  args.reject_unused_flags();
   bench::announce_threads(config);
 
   struct Variant {

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                               {0.0, 1.0, 2.0, 3.0},
                               /*respect_paper_scale=*/false);
   bench::attach_resilience(args, config, "abl_relaxation");
-  bench::reject_unused_flags(args);
+  args.reject_unused_flags();
   bench::announce_threads(config);
 
   const double kSkipped = std::numeric_limits<double>::quiet_NaN();

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
                               {0.0, 1.0, 2.0, 3.0});
   bench::attach_resilience(args, config, "fig7");
   const bool quiet = bench::quiet(args);
-  bench::reject_unused_flags(args);
+  args.reject_unused_flags();
   bench::announce_threads(config);
 
   const std::size_t seeds = static_cast<std::size_t>(config.seeds);

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
                               {0.0, 1.0, 2.0, 3.0});
   bench::attach_resilience(args, config, "fig8");
   const auto announce = bench::progress_announcer(args);
-  bench::reject_unused_flags(args);
+  args.reject_unused_flags();
   bench::announce_threads(config);
 
   const auto outcomes = eval::run_model_sweep(config, core::ModelKind::kCSigma,

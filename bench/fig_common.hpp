@@ -107,19 +107,6 @@ inline void attach_resilience(const eval::Args& args,
               << config.journal->path() << '\n';
 }
 
-/// Strict flags: exits 2 naming every flag the bench was given but never
-/// read, so a misspelt or removed flag (`--thread 2`, `--basis dense`)
-/// fails loudly instead of running as if it were absent. Call it after the
-/// bench's last flag read.
-inline void reject_unused_flags(const eval::Args& args) {
-  const std::vector<std::string> unused = args.unused();
-  if (unused.empty()) return;
-  std::cerr << "error: unknown flag" << (unused.size() > 1 ? "s" : "") << ':';
-  for (const std::string& name : unused) std::cerr << " --" << name;
-  std::cerr << '\n';
-  std::exit(2);
-}
-
 /// Serializes progress lines written from parallel sweep cells. The sweep
 /// runner already serializes its own announce callback; benches that log
 /// from inside eval::for_each_cell bodies must lock this themselves.

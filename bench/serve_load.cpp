@@ -311,10 +311,19 @@ int main(int argc, char** argv) {
   load.slo.window_seconds = args.get_double("slo-window", 60.0);
   load.slo.budget_fraction = args.get_double("slo-budget", 0.05);
 
+  const bool has_metrics_port = args.has("metrics-port");
+  const int metrics_port_flag = args.get_int("metrics-port", 0);
+  // WAL A/B axis: --wal-ab runs each mode at off/batch/every; otherwise a
+  // single durability level from --state-dir / --wal-fsync (default off).
+  const std::string wal_fsync = args.get_string("wal-fsync", "batch");
+  load.state_root = args.get_string("state-dir", "");
+  const bool wal_ab = args.has("wal-ab");
+  const std::string csv = args.get_string("csv", "");
+  args.reject_unused_flags();
+
   serve::MetricsServer metrics_server({{{"service", "serve_load"}}, {}});
-  if (args.has("metrics-port")) {
-    const int metrics_port =
-        metrics_server.start(args.get_int("metrics-port", 0));
+  if (has_metrics_port) {
+    const int metrics_port = metrics_server.start(metrics_port_flag);
     if (metrics_port < 0) {
       std::cerr << "serve_load: cannot bind metrics port\n";
       return 1;
@@ -329,16 +338,12 @@ int main(int argc, char** argv) {
               params.flexibility, slo_ms, admission.max_step_requests,
               load.arrival_rate);
 
-  // WAL A/B axis: --wal-ab runs each mode at off/batch/every; otherwise a
-  // single durability level from --state-dir / --wal-fsync (default off).
-  const std::string wal_fsync = args.get_string("wal-fsync", "batch");
   if (wal_fsync != "off" && wal_fsync != "batch" && wal_fsync != "every") {
     std::cerr << "serve_load: --wal-fsync must be off, batch, or every\n";
     return 1;
   }
-  load.state_root = args.get_string("state-dir", "");
   std::vector<std::string> wal_levels;
-  if (args.has("wal-ab"))
+  if (wal_ab)
     wal_levels = {"off", "batch", "every"};
   else if (!load.state_root.empty())
     wal_levels = {wal_fsync};
@@ -389,7 +394,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string csv = args.get_string("csv", "");
   if (!csv.empty()) {
     AtomicFile out(csv);
     out.stream() << "scale,mode,wal,requests,accepted,shed,shed_aged,"

@@ -21,14 +21,16 @@ int main(int argc, char** argv) {
   params.num_requests = args.get_int("requests", 5);
   params.flexibility = args.get_double("flex", 2.0);
   params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const double time_limit = args.get_double("time-limit", 20.0);
+  args.reject_unused_flags();
   const net::TvnepInstance instance = workload::generate_workload(params);
 
   greedy::GreedyOptions greedy_options;
-  greedy_options.per_iteration_time_limit = args.get_double("time-limit", 20.0);
+  greedy_options.per_iteration_time_limit = time_limit;
   const greedy::GreedyResult g = greedy::solve_greedy(instance, greedy_options);
 
   core::SolveParams solve_params;
-  solve_params.time_limit_seconds = args.get_double("time-limit", 20.0);
+  solve_params.time_limit_seconds = time_limit;
   const core::TvnepSolveResult exact =
       core::solve(instance, core::ModelKind::kCSigma, solve_params);
 

@@ -24,6 +24,9 @@ int main(int argc, char** argv) {
   params.num_requests = args.get_int("requests", 5);
   params.flexibility = args.get_double("flex", 2.0);
   params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  core::SolveParams solve_params;
+  solve_params.time_limit_seconds = args.get_double("time-limit", 30.0);
+  args.reject_unused_flags();
 
   const net::TvnepInstance instance = workload::generate_workload(params);
   std::printf("substrate: %d nodes / %d links; %d requests; horizon %.1f h\n",
@@ -31,8 +34,6 @@ int main(int argc, char** argv) {
               instance.substrate().num_links(), instance.num_requests(),
               instance.horizon());
 
-  core::SolveParams solve_params;
-  solve_params.time_limit_seconds = args.get_double("time-limit", 30.0);
   const core::TvnepSolveResult result =
       core::solve(instance, core::ModelKind::kCSigma, solve_params);
 

@@ -37,6 +37,9 @@ net::TvnepInstance admitted_subset(const net::TvnepInstance& full,
 int main(int argc, char** argv) {
   const eval::Args args(argc, argv);
   const double time_limit = args.get_double("time-limit", 20.0);
+  const int requests = args.get_int("requests", 4);
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.reject_unused_flags();
 
   std::printf("%-12s %-10s %-14s %s\n", "flexibility", "requests",
               "links off", "status");
@@ -45,9 +48,9 @@ int main(int argc, char** argv) {
     params.grid_rows = 2;
     params.grid_cols = 3;
     params.star_leaves = 2;
-    params.num_requests = args.get_int("requests", 4);
+    params.num_requests = requests;
     params.flexibility = flex;
-    params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    params.seed = seed;
     const net::TvnepInstance full = workload::generate_workload(params);
     const net::TvnepInstance instance = admitted_subset(full, time_limit);
 

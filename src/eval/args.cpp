@@ -1,6 +1,8 @@
 #include "eval/args.hpp"
 
 #include <charconv>
+#include <cstdlib>
+#include <iostream>
 
 #include "support/check.hpp"
 
@@ -80,6 +82,15 @@ std::vector<std::string> Args::unused() const {
     if (!queried_.count(name)) out.push_back(name);
   }
   return out;
+}
+
+void Args::reject_unused_flags() const {
+  const std::vector<std::string> names = unused();
+  if (names.empty()) return;
+  std::cerr << "error: unknown flag" << (names.size() > 1 ? "s" : "") << ':';
+  for (const std::string& name : names) std::cerr << " --" << name;
+  std::cerr << '\n';
+  std::exit(2);
 }
 
 }  // namespace tvnep::eval

@@ -1,4 +1,5 @@
-// Minimal command-line flag parser for the bench/example binaries.
+// Minimal command-line flag parser for the bench, example and serve
+// binaries.
 // Accepted syntax: --name value | --name=value | --flag (boolean true).
 #pragma once
 
@@ -26,6 +27,12 @@ class Args {
 
   /// Names that were provided but never queried — typo detection.
   std::vector<std::string> unused() const;
+
+  /// Strict flags: exits 2 naming every flag the program was given but
+  /// never read, so a misspelt or removed flag (`--thread 2`, `--basis
+  /// dense`) fails loudly instead of running as if it were absent. Call
+  /// it after the program's last flag read.
+  void reject_unused_flags() const;
 
  private:
   std::optional<std::string> raw(const std::string& name) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "linalg/lu.hpp"
@@ -13,8 +14,22 @@ namespace tvnep::lp {
 
 namespace {
 constexpr double kInf = kInfinity;
+// Base of the dual cost perturbation and the floor of a dual steepest-edge
+// weight.
+constexpr double kDualPerturbation = 5e-7;
+constexpr double kMinDseWeight = 1e-4;
 
 bool finite(double v) { return std::isfinite(v); }
+
+// A value in [0, 1) that depends only on v (the splitmix64 finalizer), so
+// the cost perturbation is the same on every run and every thread.
+double unit_hash(int v) {
+  std::uint64_t z = static_cast<std::uint64_t>(v) + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  z ^= z >> 31;
+  return static_cast<double>(z >> 11) * 0x1.0p-53;
+}
 }  // namespace
 
 const char* to_string(SolveStatus status) {
@@ -48,8 +63,6 @@ Simplex::Simplex(const Problem& problem, SimplexOptions options)
   duals_.assign(static_cast<std::size_t>(m), 0.0);
   if (options_.max_iterations <= 0)
     options_.max_iterations = std::max(20000, 60 * (n + m));
-  if (options_.max_dual_iterations <= 0)
-    options_.max_dual_iterations = std::max(2000, 4 * m);
 }
 
 // Geometric-mean equilibration of the constraint matrix. Two sweeps of
@@ -209,6 +222,7 @@ void Simplex::cold_start() {
   const bool ok = factorize_basis();
   TVNEP_REQUIRE(ok, "cold start: all-slack basis failed to factorize");
   has_basis_ = true;
+  dse_weights_valid_ = false;
   degenerate_streak_ = 0;
 }
 
@@ -485,6 +499,7 @@ bool Simplex::pivot(int entering, double direction, const RatioResult& ratio,
   status_[static_cast<std::size_t>(entering)] = VarStatus::kBasic;
   basis_[static_cast<std::size_t>(r)] = entering;
   ++total_pivots_;
+  dse_weights_valid_ = false;
   return apply_basis_update(r, alpha);
 }
 
@@ -565,164 +580,229 @@ SolveStatus Simplex::primal_simplex(Phase phase, const Deadline& deadline) {
   }
 }
 
-bool Simplex::dual_simplex(const Deadline& deadline, SolveStatus* status_out) {
-  const int m = num_rows();
-  const int total = num_vars();
-  const double ftol = options_.feasibility_tol;
-  const double dtol = options_.optimality_tol * 10.0;
-  std::vector<double> y;
-  std::vector<double> alpha;
-  std::vector<double> rho(static_cast<std::size_t>(m));
-
-  // Reduced costs, maintained incrementally across pivots (recomputing
-  // them from scratch is O(m^2) per iteration and dominates runtime).
-  std::vector<double> d(static_cast<std::size_t>(total), 0.0);
-  auto recompute_reduced_costs = [&] {
-    compute_duals_phase2(y);
-    for (int v = 0; v < total; ++v) {
-      d[static_cast<std::size_t>(v)] =
-          status_[static_cast<std::size_t>(v)] == VarStatus::kBasic
-              ? 0.0
-              : var_cost(v) - column_dot(v, y);
-    }
+void Simplex::compute_reduced_costs() {
+  const auto shifted_cost = [&](int v) {
+    return var_cost(v) + cost_shift_[static_cast<std::size_t>(v)];
   };
-  recompute_reduced_costs();
-
-  // Verify dual feasibility of the warm basis.
-  for (int v = 0; v < total; ++v) {
-    const VarStatus st = status_[static_cast<std::size_t>(v)];
-    if (st == VarStatus::kBasic) continue;
-    if (upper(v) - lower(v) < 1e-14) continue;  // fixed: any sign fine
-    const double dv = d[static_cast<std::size_t>(v)];
-    if (st == VarStatus::kAtLower && dv < -dtol) return false;
-    if (st == VarStatus::kAtUpper && dv > dtol) return false;
-    if (st == VarStatus::kFree && std::fabs(dv) > dtol) return false;
+  // y = B^-T (c_B + shift_B), loaded in basis-position space.
+  std::vector<double> y(static_cast<std::size_t>(num_rows()));
+  for (int i = 0; i < num_rows(); ++i)
+    y[static_cast<std::size_t>(i)] =
+        shifted_cost(basis_[static_cast<std::size_t>(i)]);
+  factor_.btran(y);
+  for (int v = 0; v < num_vars(); ++v) {
+    dual_d_[static_cast<std::size_t>(v)] =
+        status_[static_cast<std::size_t>(v)] == VarStatus::kBasic
+            ? 0.0
+            : shifted_cost(v) - column_dot(v, y);
   }
+}
 
-  std::vector<double> row_alpha(static_cast<std::size_t>(total), 0.0);
-  int iterations = 0;
-  double last_objective = kInf;  // kInf sentinel: not yet measured
-  int stall = 0;
-  for (;;) {
-    if (iterations >= options_.max_dual_iterations) {
-      // Degenerate dual stall: hand over to the primal phases, which carry
-      // Bland's-rule anti-cycling.
-      return false;
+void Simplex::repair_dual_infeasibilities() {
+  const double dtol = options_.optimality_tol;
+  bool moved = false;
+  for (int v = 0; v < num_vars(); ++v) {
+    auto& st = status_[static_cast<std::size_t>(v)];
+    if (st == VarStatus::kBasic) continue;
+    const double lo = lower(v);
+    const double hi = upper(v);
+    if (hi - lo < 1e-14) continue;  // fixed: any sign is fine
+    double& dv = dual_d_[static_cast<std::size_t>(v)];
+    const bool infeasible = (st == VarStatus::kAtLower && dv < -dtol) ||
+                            (st == VarStatus::kAtUpper && dv > dtol) ||
+                            (st == VarStatus::kFree && std::fabs(dv) > dtol);
+    if (!infeasible) continue;
+    if (st != VarStatus::kFree && finite(lo) && finite(hi)) {
+      st = st == VarStatus::kAtLower ? VarStatus::kAtUpper
+                                     : VarStatus::kAtLower;
+      x_[static_cast<std::size_t>(v)] = st == VarStatus::kAtUpper ? hi : lo;
+      moved = true;
+    } else {
+      cost_shift_[static_cast<std::size_t>(v)] -= dv;
+      dv = 0.0;
     }
-    // Early stall detection: the dual objective is non-decreasing; long
-    // flat stretches mean degenerate cycling — bail to the primal phases.
-    if ((iterations & 31) == 0) {
-      double obj_now = 0.0;
-      for (int j = 0; j < num_structural(); ++j)
-        obj_now += struct_cost(j) * x_[static_cast<std::size_t>(j)];
-      if (last_objective == kInf || obj_now > last_objective + 1e-9) {
-        last_objective = obj_now;
-        stall = 0;
-      } else if (++stall >= 8) {
-        return false;
+  }
+  if (moved) compute_basic_values();
+}
+
+void Simplex::price_row() {
+  for (const int j : row_touched_) {
+    row_alpha_[static_cast<std::size_t>(j)] = 0.0;
+    in_row_[static_cast<std::size_t>(j)] = 0;
+  }
+  row_touched_.clear();
+  rho_nonzeros_.clear();
+  for (int i = 0; i < num_rows(); ++i) {
+    const double ri = rho_[static_cast<std::size_t>(i)];
+    if (ri == 0.0) continue;
+    rho_nonzeros_.push_back(i);
+    for (const auto& entry : mat().row(i)) {
+      const auto j = static_cast<std::size_t>(entry.index);
+      if (!in_row_[j]) {
+        in_row_[j] = 1;
+        row_touched_.push_back(entry.index);
       }
+      row_alpha_[j] += ri * entry.value;
     }
+  }
+}
+
+SolveStatus Simplex::dual_simplex(const Deadline& deadline) {
+  const int m = num_rows();
+  const int n = num_structural();
+  const double ftol = options_.feasibility_tol;
+  const double ptol = options_.pivot_tol;
+  // Fixed guard: a perturbed dual does not stall, so reaching it means
+  // something is wrong and branch and bound retries the node cold.
+  const int guard = std::max(10000, 10 * m);
+
+  // Workspace, allocated on the first dual call only: a solver that is
+  // only ever started cold never pays for it.
+  if (dual_d_.empty()) {
+    cost_shift_.assign(static_cast<std::size_t>(n + m), 0.0);
+    dual_d_.assign(static_cast<std::size_t>(n + m), 0.0);
+    rho_.assign(static_cast<std::size_t>(m), 0.0);
+    row_alpha_.assign(static_cast<std::size_t>(n), 0.0);
+    in_row_.assign(static_cast<std::size_t>(n), 0);
+  }
+  compute_reduced_costs();
+  repair_dual_infeasibilities();
+  // Cost perturbation against dual degeneracy: every nonbasic, non-fixed,
+  // non-free variable moves further into dual feasibility by a few 1e-7,
+  // with a per-variable factor from a hash of its index.
+  for (int v = 0; v < num_vars(); ++v) {
+    const VarStatus st = status_[static_cast<std::size_t>(v)];
+    if (st == VarStatus::kBasic || st == VarStatus::kFree) continue;
+    if (upper(v) - lower(v) < 1e-14) continue;
+    const double base = is_slack(v) ? 0.0 : struct_cost(v);
+    double xi =
+        kDualPerturbation * (1.0 + std::fabs(base)) * (1.0 + unit_hash(v));
+    if (st == VarStatus::kAtUpper) xi = -xi;
+    cost_shift_[static_cast<std::size_t>(v)] += xi;
+    dual_d_[static_cast<std::size_t>(v)] += xi;
+  }
+  // The weights carry over from the last dual call unless the basis has
+  // changed since by anything but a dual pivot.
+  if (!dse_weights_valid_)
+    dse_weight_.assign(static_cast<std::size_t>(m), 1.0);
+  dse_weights_valid_ = true;
+  std::vector<double> alpha;
+
+  SolveStatus status = SolveStatus::kIterationLimit;
+  for (int iterations = 0;; ++iterations) {
+    if (iterations >= guard) break;
     if ((iterations & 63) == 0 && out_of_time(deadline)) {
-      *status_out = SolveStatus::kTimeLimit;
-      return true;
+      status = SolveStatus::kTimeLimit;
+      break;
     }
     if (fault_injected()) {
       obs::counter_add("lp.faults_injected");
-      *status_out = SolveStatus::kNumericalFailure;
-      return true;
+      status = SolveStatus::kNumericalFailure;
+      break;
+    }
+    // Periodic refresh against drift in the incremental updates.
+    if (iterations > 0 && (iterations & 255) == 0) {
+      compute_reduced_costs();
+      repair_dual_infeasibilities();
     }
 
-    // Leaving: the basic variable with the largest bound violation.
-    int leaving_row = -1;
-    double worst = ftol;
+    // Leaving row by dual steepest edge: the largest infeasibility^2 / w_r.
+    int r = -1;
+    double best = 0.0;
     bool below = false;
     for (int i = 0; i < m; ++i) {
       const int v = basis_[static_cast<std::size_t>(i)];
       const double xv = x_[static_cast<std::size_t>(v)];
-      const double viol_lo = lower(v) - xv;
-      const double viol_hi = xv - upper(v);
-      if (viol_lo > worst) {
-        worst = viol_lo;
-        leaving_row = i;
-        below = true;
+      double infeasibility;
+      bool is_below;
+      if (xv < lower(v) - ftol) {
+        infeasibility = lower(v) - xv;
+        is_below = true;
+      } else if (xv > upper(v) + ftol) {
+        infeasibility = xv - upper(v);
+        is_below = false;
+      } else {
+        continue;
       }
-      if (viol_hi > worst) {
-        worst = viol_hi;
-        leaving_row = i;
-        below = false;
+      const double score = infeasibility * infeasibility /
+                           dse_weight_[static_cast<std::size_t>(i)];
+      if (score > best) {
+        best = score;
+        r = i;
+        below = is_below;
       }
     }
-    if (leaving_row < 0) {
-      *status_out = SolveStatus::kOptimal;
-      return true;
+    if (r < 0) {
+      status = SolveStatus::kOptimal;
+      break;
     }
 
-    // Periodic refresh guards against drift in the incremental updates.
-    if (iterations > 0 && (iterations & 255) == 0) recompute_reduced_costs();
-
-    // rho = row r of B^-1, extracted as B^-T e_r.
-    std::fill(rho.begin(), rho.end(), 0.0);
-    rho[static_cast<std::size_t>(leaving_row)] = 1.0;
-    factor_.btran(rho);
+    // rho = row r of B^-1, extracted as B^-T e_r; its norm is the exact
+    // steepest-edge weight of row r.
+    std::fill(rho_.begin(), rho_.end(), 0.0);
+    rho_[static_cast<std::size_t>(r)] = 1.0;
+    factor_.btran(rho_);
+    price_row();
+    double weight_r = 0.0;
+    for (const int i : rho_nonzeros_)
+      weight_r += rho_[static_cast<std::size_t>(i)] *
+                  rho_[static_cast<std::size_t>(i)];
+    dse_weight_[static_cast<std::size_t>(r)] = weight_r;
 
     const double e = below ? 1.0 : -1.0;  // desired change sign of x_B(r)
 
     // Bound-flipping ratio test: collect every admissible breakpoint
     // (nonbasic variable whose reduced cost would change sign at dual
-    // price θ = |d_j| / |α_rj|), sort by θ, and let early breakpoints
-    // *flip* to their opposite bound as long as their combined capacity
-    // cannot yet absorb the leaving variable's infeasibility. One such
-    // iteration does the work of dozens of degenerate pivots in models
-    // with many box-bounded variables.
-    struct Breakpoint {
-      int var;
-      double arj;
-      double ratio;
-      double capacity;  // |arj| * (upper - lower); +inf for free vars
-    };
-    std::vector<Breakpoint> breakpoints;
-    for (int v = 0; v < total; ++v) {
+    // price θ = d_j / |α_rj|), sort by θ, and let early breakpoints *flip*
+    // to their opposite bound as long as their combined capacity cannot
+    // yet absorb the leaving variable's infeasibility. One such iteration
+    // does the work of dozens of degenerate pivots in models with many
+    // box-bounded variables.
+    breakpoints_.clear();
+    auto consider = [&](int v, double arj) {
       const VarStatus st = status_[static_cast<std::size_t>(v)];
-      row_alpha[static_cast<std::size_t>(v)] = 0.0;
-      if (st == VarStatus::kBasic) continue;
-      const double arj = column_dot(v, rho);
-      row_alpha[static_cast<std::size_t>(v)] = arj;
+      if (st == VarStatus::kBasic) return;
       const double range = upper(v) - lower(v);
-      if (range < 1e-14) continue;
-      if (std::fabs(arj) <= options_.pivot_tol) continue;
-      bool admissible = false;
-      // x_B(r) changes by -arj * dx_v; dx_v >= 0 when at lower, <= 0 at upper.
-      if (st == VarStatus::kAtLower && -arj * e > 0.0) admissible = true;
-      else if (st == VarStatus::kAtUpper && arj * e > 0.0) admissible = true;
-      else if (st == VarStatus::kFree) admissible = true;
-      if (!admissible) continue;
-      const double dv = d[static_cast<std::size_t>(v)];
-      const double capacity =
-          (st == VarStatus::kFree || !finite(range)) ? kInf
-                                                     : range * std::fabs(arj);
-      breakpoints.push_back(
-          {v, arj, std::fabs(dv) / std::fabs(arj), capacity});
-    }
-    if (breakpoints.empty()) {
-      *status_out = SolveStatus::kInfeasible;
-      return true;
-    }
-    std::sort(breakpoints.begin(), breakpoints.end(),
-              [](const Breakpoint& a, const Breakpoint& b) {
-                if (a.ratio != b.ratio) return a.ratio < b.ratio;
-                return std::fabs(a.arj) > std::fabs(b.arj);
-              });
+      if (range < 1e-14 || std::fabs(arj) <= ptol) return;
+      // x_B(r) changes by -arj * dx_v; dx_v >= 0 at lower, <= 0 at upper.
+      const double dv = dual_d_[static_cast<std::size_t>(v)];
+      double slack;  // the reduced cost's distance from changing sign
+      if (st == VarStatus::kAtLower && -arj * e > 0.0) slack = dv;
+      else if (st == VarStatus::kAtUpper && arj * e > 0.0) slack = -dv;
+      else if (st == VarStatus::kFree) slack = std::fabs(dv);
+      else return;
+      const double capacity = (st == VarStatus::kFree || !finite(range))
+                                  ? kInf
+                                  : range * std::fabs(arj);
+      breakpoints_.push_back(
+          {v, arj, std::max(slack, 0.0) / std::fabs(arj), capacity});
+    };
+    for (const int j : row_touched_)
+      consider(j, row_alpha_[static_cast<std::size_t>(j)]);
+    for (const int i : rho_nonzeros_)
+      consider(n + i, -rho_[static_cast<std::size_t>(i)]);
+    // Breakpoints are taken in (ratio, -|arj|, var) order from a heap:
+    // usually only the first few are needed, so a full sort is waste.
+    auto later = [](const Breakpoint& a, const Breakpoint& b) {
+      if (a.ratio != b.ratio) return a.ratio > b.ratio;
+      if (std::fabs(a.arj) != std::fabs(b.arj))
+        return std::fabs(a.arj) < std::fabs(b.arj);
+      return a.var > b.var;
+    };
+    std::make_heap(breakpoints_.begin(), breakpoints_.end(), later);
 
-    const int pre_leaving = basis_[static_cast<std::size_t>(leaving_row)];
+    const int pre_leaving = basis_[static_cast<std::size_t>(r)];
     double delta_remaining =
         std::fabs(x_[static_cast<std::size_t>(pre_leaving)] -
                   (below ? lower(pre_leaving) : upper(pre_leaving)));
     int entering = -1;
     double entering_arj = 0.0;
-    std::vector<int> flips;
-    for (const Breakpoint& bp : breakpoints) {
+    flips_.clear();
+    for (auto end = breakpoints_.end(); end != breakpoints_.begin(); --end) {
+      std::pop_heap(breakpoints_.begin(), end, later);
+      const Breakpoint& bp = *(end - 1);
       if (bp.capacity < delta_remaining - 1e-12) {
-        flips.push_back(bp.var);
+        flips_.push_back(bp.var);
         delta_remaining -= bp.capacity;
         continue;
       }
@@ -731,16 +811,18 @@ bool Simplex::dual_simplex(const Deadline& deadline, SolveStatus* status_out) {
       break;
     }
     if (entering < 0) {
-      // Every admissible variable flipped and the violation persists.
-      *status_out = SolveStatus::kInfeasible;
-      return true;
+      // No admissible entering column, or every one flipped and the
+      // violation persists: a dual ray, whatever the costs.
+      status = SolveStatus::kInfeasible;
+      break;
     }
 
-    if (!flips.empty()) {
+    if (!flips_.empty()) {
       // Move each flipped variable to its opposite bound and push the
-      // aggregate effect through the basis in a single O(m^2) update.
-      std::vector<double> aggregate(static_cast<std::size_t>(m), 0.0);
-      for (const int v : flips) {
+      // aggregate effect through the basis in a single FTRAN.
+      std::vector<double>& aggregate = tau_;
+      aggregate.assign(static_cast<std::size_t>(m), 0.0);
+      for (const int v : flips_) {
         auto& st = status_[static_cast<std::size_t>(v)];
         const double old_x = x_[static_cast<std::size_t>(v)];
         double new_x;
@@ -755,13 +837,13 @@ bool Simplex::dual_simplex(const Deadline& deadline, SolveStatus* status_out) {
         const double dx = new_x - old_x;
         if (dx == 0.0) continue;
         if (is_slack(v)) {
-          aggregate[static_cast<std::size_t>(v - num_structural())] -= dx;
+          aggregate[static_cast<std::size_t>(v - n)] -= dx;
         } else {
           for (const auto& entry : mat().column(v))
-            aggregate[static_cast<std::size_t>(entry.index)] += entry.value * dx;
+            aggregate[static_cast<std::size_t>(entry.index)] +=
+                entry.value * dx;
         }
       }
-      // x_B -= B^-1 * (A_flips · dx), one FTRAN for the whole batch.
       factor_.ftran(aggregate);
       for (int i = 0; i < m; ++i)
         x_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] -=
@@ -769,21 +851,40 @@ bool Simplex::dual_simplex(const Deadline& deadline, SolveStatus* status_out) {
     }
 
     ftran(entering, alpha);
-    const double pivot_val = alpha[static_cast<std::size_t>(leaving_row)];
-    if (std::fabs(pivot_val) <= options_.pivot_tol ||
+    const double pivot_val = alpha[static_cast<std::size_t>(r)];
+    if (std::fabs(pivot_val) <= ptol ||
         std::fabs(pivot_val - entering_arj) >
             1e-5 * std::max(1.0, std::fabs(pivot_val))) {
       // The row and column views of the pivot disagree → numerical drift.
+      // Refactorizing recomputes x_B (the flips above included); the
+      // repair undoes flips whose reduced cost kept its sign.
       if (!refactorize()) {
-        *status_out = SolveStatus::kNumericalFailure;
-        return true;
+        status = SolveStatus::kNumericalFailure;
+        break;
       }
-      recompute_reduced_costs();
-      ++iterations;
+      compute_reduced_costs();
+      repair_dual_infeasibilities();
       continue;
     }
 
-    const int leaving = basis_[static_cast<std::size_t>(leaving_row)];
+    // Dual steepest-edge update with tau = B^-1 rho (old basis):
+    // w_i += (α_i/α_r)^2 w_r - 2 (α_i/α_r) tau_i, and w_r / α_r^2 for the
+    // entering variable's row.
+    tau_ = rho_;
+    factor_.ftran(tau_);
+    for (int i = 0; i < m; ++i) {
+      const double a = alpha[static_cast<std::size_t>(i)];
+      if (a == 0.0 || i == r) continue;
+      const double ratio = a / pivot_val;
+      double& w = dse_weight_[static_cast<std::size_t>(i)];
+      w = std::max(w + ratio * (ratio * weight_r -
+                                2.0 * tau_[static_cast<std::size_t>(i)]),
+                   kMinDseWeight);
+    }
+    dse_weight_[static_cast<std::size_t>(r)] =
+        std::max(weight_r / (pivot_val * pivot_val), kMinDseWeight);
+
+    const int leaving = basis_[static_cast<std::size_t>(r)];
     const double target = below ? lower(leaving) : upper(leaving);
     const double dq =
         (x_[static_cast<std::size_t>(leaving)] - target) / pivot_val;
@@ -798,26 +899,30 @@ bool Simplex::dual_simplex(const Deadline& deadline, SolveStatus* status_out) {
     status_[static_cast<std::size_t>(leaving)] =
         below ? VarStatus::kAtLower : VarStatus::kAtUpper;
     status_[static_cast<std::size_t>(entering)] = VarStatus::kBasic;
-    basis_[static_cast<std::size_t>(leaving_row)] = entering;
+    basis_[static_cast<std::size_t>(r)] = entering;
     ++total_pivots_;
-    if (!apply_basis_update(leaving_row, alpha)) {
-      *status_out = SolveStatus::kNumericalFailure;
-      return true;
-    }
-    // Incremental reduced-cost update: d_j -= θ · α_rj with
-    // θ = d_q / α_rq; the leaving variable picks up -θ.
-    const double theta = d[static_cast<std::size_t>(entering)] / pivot_val;
-    if (theta != 0.0) {
-      for (int v = 0; v < total; ++v) {
-        const double arj = row_alpha[static_cast<std::size_t>(v)];
-        if (arj != 0.0) d[static_cast<std::size_t>(v)] -= theta * arj;
-      }
-    }
-    d[static_cast<std::size_t>(entering)] = 0.0;
-    d[static_cast<std::size_t>(leaving)] = -theta;
-    ++iterations;
     ++stats_.dual_iterations;
+    // Incremental reduced-cost update over the pivot row: d_j -= θ · α_rj
+    // with θ = d_q / α_rq; the leaving variable picks up -θ.
+    const double theta =
+        dual_d_[static_cast<std::size_t>(entering)] / pivot_val;
+    if (theta != 0.0) {
+      for (const int j : row_touched_)
+        dual_d_[static_cast<std::size_t>(j)] -=
+            theta * row_alpha_[static_cast<std::size_t>(j)];
+      for (const int i : rho_nonzeros_)
+        dual_d_[static_cast<std::size_t>(n + i)] +=
+            theta * rho_[static_cast<std::size_t>(i)];
+    }
+    dual_d_[static_cast<std::size_t>(entering)] = 0.0;
+    dual_d_[static_cast<std::size_t>(leaving)] = -theta;
+    if (!apply_basis_update(r, alpha)) {
+      status = SolveStatus::kNumericalFailure;
+      break;
+    }
   }
+  std::fill(cost_shift_.begin(), cost_shift_.end(), 0.0);
+  return status;
 }
 
 bool Simplex::refactorize() {
@@ -871,6 +976,43 @@ void Simplex::finish_solution() {
   duals_ = std::move(y);
 }
 
+void Simplex::place_nonbasics() {
+  for (int v = 0; v < num_vars(); ++v) {
+    auto& st = status_[static_cast<std::size_t>(v)];
+    if (st == VarStatus::kBasic || st == VarStatus::kFree) continue;
+    const double lo = lower(v);
+    const double hi = upper(v);
+    const bool prefer_upper = st == VarStatus::kAtUpper;
+    if (finite(prefer_upper ? hi : lo)) {
+      x_[static_cast<std::size_t>(v)] = prefer_upper ? hi : lo;
+    } else if (finite(prefer_upper ? lo : hi)) {
+      st = prefer_upper ? VarStatus::kAtLower : VarStatus::kAtUpper;
+      x_[static_cast<std::size_t>(v)] = prefer_upper ? lo : hi;
+    } else {
+      st = VarStatus::kFree;
+      x_[static_cast<std::size_t>(v)] = 0.0;
+    }
+  }
+}
+
+bool Simplex::seed_basis(const std::vector<VarStatus>& status) {
+  TVNEP_REQUIRE(status.size() == static_cast<std::size_t>(num_vars()),
+                "seed_basis: one status per full-system variable");
+  has_basis_ = false;
+  dse_weights_valid_ = false;
+  if (std::count(status.begin(), status.end(), VarStatus::kBasic) !=
+      num_rows())
+    return false;
+  status_ = status;
+  basis_.clear();
+  for (int v = 0; v < num_vars(); ++v)
+    if (status_[static_cast<std::size_t>(v)] == VarStatus::kBasic)
+      basis_.push_back(v);
+  place_nonbasics();
+  has_basis_ = factorize_basis();
+  return has_basis_;
+}
+
 SolveStatus Simplex::solve_attempt(const Deadline& deadline) {
   rebuild_pricing();
   // A failed refactorization from a previous attempt leaves factor_
@@ -878,49 +1020,29 @@ SolveStatus Simplex::solve_attempt(const Deadline& deadline) {
   // start. If even that fails the basis is truly singular — start cold.
   if (has_basis_ && !factor_valid_ && !factorize_basis()) has_basis_ = false;
   if (has_basis_) {
-    // Reposition nonbasic variables onto the (possibly changed) bounds.
-    for (int v = 0; v < num_vars(); ++v) {
-      auto& st = status_[static_cast<std::size_t>(v)];
-      if (st == VarStatus::kBasic) continue;
-      const double lo = lower(v);
-      const double hi = upper(v);
-      if (st == VarStatus::kAtLower) {
-        if (finite(lo)) x_[static_cast<std::size_t>(v)] = lo;
-        else if (finite(hi)) { st = VarStatus::kAtUpper; x_[static_cast<std::size_t>(v)] = hi; }
-        else { st = VarStatus::kFree; x_[static_cast<std::size_t>(v)] = 0.0; }
-      } else if (st == VarStatus::kAtUpper) {
-        if (finite(hi)) x_[static_cast<std::size_t>(v)] = hi;
-        else if (finite(lo)) { st = VarStatus::kAtLower; x_[static_cast<std::size_t>(v)] = lo; }
-        else { st = VarStatus::kFree; x_[static_cast<std::size_t>(v)] = 0.0; }
-      }
-    }
+    place_nonbasics();
     compute_basic_values();
     obs::counter_add("lp.warm_starts");
-    SolveStatus status = SolveStatus::kNumericalFailure;
-    bool dual_finished;
+    stats_.warm_started = true;
+    SolveStatus status;
     {
       obs::SpanScope span(trace_spans_, "lp.dual", "lp");
-      dual_finished = dual_simplex(deadline, &status);
+      status = dual_simplex(deadline);
     }
-    if (dual_finished) {
-      stats_.warm_started = true;
-      if (status == SolveStatus::kOptimal) finish_solution();
-      // A numerical failure surfaces to the recovery ladder in solve(),
-      // whose refactorize rung beats blindly continuing with the primal
-      // phases on a drifted inverse.
-      return status;
+    if (status == SolveStatus::kIterationLimit) {
+      stats_.dual_fallback = true;
+      obs::counter_add("lp.dual_fallbacks");
     }
-    // Warm basis is not dual feasible (or the dual stalled): primal phases
-    // from the current basis are still a better start than cold.
-    stats_.dual_fallback = true;
-    obs::counter_add("lp.dual_fallbacks");
-    const SolveStatus p1 = primal_simplex(Phase::kPhase1, deadline);
-    if (p1 != SolveStatus::kOptimal) return p1;
-    const SolveStatus p2 = primal_simplex(Phase::kPhase2, deadline);
-    if (p2 == SolveStatus::kOptimal) finish_solution();
-    return p2;
+    // A numerical failure surfaces to the recovery ladder in solve().
+    if (status != SolveStatus::kOptimal) return status;
+    // Primal phase 2 on the true costs from the primal-feasible basis
+    // removes whatever the cost shifts changed; usually no pivot at all.
+    status = primal_simplex(Phase::kPhase2, deadline);
+    if (status == SolveStatus::kOptimal) finish_solution();
+    return status;
   }
 
+  obs::counter_add("lp.cold_starts");
   cold_start();
   const SolveStatus p1 = primal_simplex(Phase::kPhase1, deadline);
   if (p1 != SolveStatus::kOptimal) return p1;

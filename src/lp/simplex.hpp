@@ -11,9 +11,13 @@
 //  * primal simplex with a Phase-I infeasibility minimization (no big-M,
 //    no artificial variables), partial Dantzig pricing over a rotating
 //    candidate window, with a Bland fallback after degeneracy stalls;
-//  * dual simplex used to re-optimize after bound changes (branch & bound
-//    warm starts); it refuses to run when the current basis is not dual
-//    feasible, in which case the caller falls back to the primal.
+//  * dual simplex used to re-optimize from a warm basis (branch & bound
+//    node LPs, cut rounds). It always finishes: a dual-infeasible start is
+//    repaired by bound flips and cost shifts, costs are perturbed against
+//    dual degeneracy, the leaving row is chosen by dual steepest edge, the
+//    pivot row is priced row-wise, and a bound-flipping ratio test moves
+//    boxed columns. The shifts are dropped at the end and a primal phase 2
+//    from the primal-feasible basis cleans up what they changed.
 //
 // Basis maintenance is linalg::SparseLuBasis: a sparse LU with Markowitz
 // threshold pivoting plus product-form eta updates (sub-quadratic per
@@ -70,9 +74,6 @@ struct SimplexOptions {
   // After this many consecutive degenerate iterations, switch to Bland's
   // rule until progress resumes.
   int degeneracy_threshold = 60;
-  // Cap on warm-start dual simplex iterations before falling back to the
-  // primal (guards against degenerate dual stalls); 0 → automatic.
-  int max_dual_iterations = 0;
   // Geometric-mean row/column equilibration of the constraint matrix,
   // applied once at construction and inverted on every extraction (values,
   // duals, bounds are always exchanged in the original units). Scale
@@ -119,9 +120,9 @@ struct SolveStats {
   // 0 when none happened.
   double basis_fill_max = 0.0;
   bool warm_started = false;
-  // A warm-start basis existed but the dual simplex could not finish the
-  // solve (dual-infeasible start, stall, or numerical failure) and the
-  // primal phases completed it instead.
+  // The warm dual simplex hit its fixed iteration guard and the solve
+  // returned kIterationLimit (branch and bound then retries cold). The
+  // dual is built to finish, so this should never be set.
   bool dual_fallback = false;
   // Recovery-ladder rungs taken during this solve (each at most once per
   // solve() call; a rung is counted when it is entered, whether or not it
@@ -220,6 +221,12 @@ class Simplex {
   /// Drops the warm-start basis so the next solve() is a cold start.
   void invalidate_basis() { has_basis_ = false; }
 
+  /// Installs a warm-start basis given as one status per full-system
+  /// variable (see variable_status). Returns false, leaving the solver to
+  /// start cold, when the status does not mark exactly num_rows() variables
+  /// basic or the basis fails to factorize.
+  bool seed_basis(const std::vector<VarStatus>& status);
+
   /// Whether solve() emits per-phase trace spans when the global tracer is
   /// active. Branch and bound turns this off for unsampled node LPs so a
   /// deep tree does not flood the trace; counters are unaffected.
@@ -268,6 +275,9 @@ class Simplex {
   double column_dot(int v, const std::vector<double>& y) const;
 
   void cold_start();
+  // Moves every nonbasic variable onto its (possibly changed) working
+  // bound, keeping its side when that bound is finite.
+  void place_nonbasics();
   void compute_basic_values();
   void compute_duals_phase2(std::vector<double>& y) const;
   void compute_duals_phase1(std::vector<double>& y) const;
@@ -303,9 +313,21 @@ class Simplex {
   }
 
   SolveStatus primal_simplex(Phase phase, const Deadline& deadline);
-  // Returns true when it ran to completion (status_out set); false when the
-  // starting basis was not dual feasible and the caller must go primal.
-  bool dual_simplex(const Deadline& deadline, SolveStatus* status_out);
+  // Dual simplex from the current basis under shifted costs. kOptimal
+  // means primal feasible and optimal for the shifted costs; the shifts
+  // are cleared on every return. kIterationLimit is its fixed guard.
+  SolveStatus dual_simplex(const Deadline& deadline);
+  // d_v = c_v + shift_v - y.a_v for every nonbasic v (0 for basics), with
+  // y = B^-T (c_B + shift_B).
+  void compute_reduced_costs();
+  // Restores dual feasibility of every nonbasic: a boxed one moves to its
+  // other bound, any other one has its cost shifted so that d_v = 0.
+  // Recomputes the basic values when a bound flip moved anything.
+  void repair_dual_infeasibilities();
+  // Pivot row alpha_r = rho.[A | -I], accumulated from the rows of A
+  // where rho is nonzero (listed in rho_nonzeros_; the slack entries are
+  // -rho_i).
+  void price_row();
 
   // Counts a refactorization (stats + obs) and rebuilds the factorization.
   bool refactorize();
@@ -315,8 +337,8 @@ class Simplex {
   bool factorize_basis();
   void finish_solution();
 
-  // One end-to-end solve attempt (warm dual → primal fallback, or cold
-  // primal phases). solve() wraps this with the recovery ladder.
+  // One end-to-end solve attempt (warm dual → primal phase-2 cleanup, or
+  // cold primal phases). solve() wraps this with the recovery ladder.
   SolveStatus solve_attempt(const Deadline& deadline);
   // Escalates through the ladder after `status` came back as a numerical
   // failure; returns the final status.
@@ -355,6 +377,30 @@ class Simplex {
   // cursor.
   std::vector<int> pricing_candidates_;
   mutable std::size_t pricing_cursor_ = 0;
+
+  // Dual simplex state, allocated by the first dual call. cost_shift_ is
+  // nonzero only inside dual_simplex and enters only its reduced costs;
+  // the rest is workspace kept across iterations to avoid reallocation.
+  std::vector<double> cost_shift_;   // size num_vars()
+  std::vector<double> dual_d_;       // reduced costs, size num_vars()
+  std::vector<double> dse_weight_;   // per basis position, size m
+  // dse_weight_ belongs to the current basis: no primal pivot, cold start
+  // or seeded basis since the last dual call.
+  bool dse_weights_valid_ = false;
+  std::vector<double> rho_;          // row r of B^-1
+  std::vector<int> rho_nonzeros_;    // rows where rho_ is nonzero
+  std::vector<double> tau_;          // B^-1 rho; also the flips' FTRAN
+  std::vector<double> row_alpha_;    // pivot row over the structurals
+  std::vector<char> in_row_;         // structural j is in row_touched_
+  std::vector<int> row_touched_;     // structurals with an entry in the row
+  struct Breakpoint {
+    int var;
+    double arj;
+    double ratio;
+    double capacity;  // |arj| * (upper - lower); +inf for unboxed vars
+  };
+  std::vector<Breakpoint> breakpoints_;
+  std::vector<int> flips_;
 
   double objective_ = 0.0;
   std::vector<double> duals_;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <queue>
+#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -268,6 +269,8 @@ MipResult MipSolver::solve_tree(
     cuts::CutPool pool(cut_options);
     double prev_bound = -kInf;
     int stalled_rounds = 0;
+    // Signatures of the cut rows in the current LP, in row order.
+    std::vector<std::uint64_t> lp_cuts;
     for (int round = 0; round < options_.cut_rounds; ++round) {
       if (deadline.expired() ||
           (options_.cancel != nullptr &&
@@ -317,7 +320,31 @@ MipResult MipSolver::solve_tree(
       if (added == 0 && evicted == 0) break;
 
       // Rebuild the LP as base rows + active pool, destroying the round's
-      // simplex first (it borrows the problem it was constructed on).
+      // simplex first (it borrows the problem it was constructed on). The
+      // new simplex starts from the round's optimal basis: columns and
+      // base-row slacks keep their status, a surviving cut keeps its
+      // slack's, and a new cut's slack is basic. The new cuts cut off the
+      // current point, so that basis is dual feasible and only primal
+      // infeasible, which is the warm dual's case. seed_basis leaves the
+      // solver cold when an evicted cut's slack was nonbasic.
+      const int kept_vars = problem.num_columns() + base_rows;
+      std::vector<lp::VarStatus> status(
+          static_cast<std::size_t>(kept_vars + pool.size()),
+          lp::VarStatus::kBasic);
+      std::unordered_map<std::uint64_t, lp::VarStatus> cut_status;
+      for (int v = 0; v < kept_vars; ++v)
+        status[static_cast<std::size_t>(v)] = simplex->variable_status(v);
+      for (std::size_t k = 0; k < lp_cuts.size(); ++k)
+        cut_status.emplace(lp_cuts[k], simplex->variable_status(
+                                           kept_vars + static_cast<int>(k)));
+      lp_cuts.clear();
+      for (const cuts::Cut& cut : pool.cuts()) {
+        const auto it = cut_status.find(cut.signature);
+        if (it != cut_status.end())
+          status[static_cast<std::size_t>(kept_vars) + lp_cuts.size()] =
+              it->second;
+        lp_cuts.push_back(cut.signature);
+      }
       retired_pivots += simplex->total_pivots();
       simplex.reset();
       problem = model.to_lp(nullptr);
@@ -326,6 +353,7 @@ MipResult MipSolver::solve_tree(
         problem.add_row(cut.rhs, lp::kInfinity, cut.terms);
       problem.finalize();
       simplex = std::make_unique<lp::Simplex>(problem, lp_options);
+      simplex->seed_basis(status);
     }
     if (obs::Tracer::active() && result.cuts_added > 0)
       obs::instant("mip.cuts", "mip",
@@ -634,8 +662,9 @@ MipResult MipSolver::solve_tree(
       lp_status = simplex->solve();
       accumulate_lp_stats(&node_pivots);
       if (lp_status == lp::SolveStatus::kIterationLimit) {
-        // Usually a degenerate warm start; one cold retry before the node
-        // is treated as numerically failed.
+        // The warm dual hit its iteration guard (or a cold solve its
+        // iteration cap); one cold retry before the node is treated as
+        // numerically failed.
         simplex->invalidate_basis();
         lp_status = simplex->solve();
         accumulate_lp_stats(&node_pivots);

@@ -113,7 +113,7 @@ struct MipResult {
   long phase1_iterations = 0;
   long phase2_iterations = 0;
   long dual_iterations = 0;
-  long dual_fallbacks = 0;  // warm starts that fell back to primal phases
+  long dual_fallbacks = 0;  // warm dual solves that hit their iteration guard
   long refactorizations = 0;  // basis refactorizations across node LPs
   long basis_updates = 0;   // incremental basis updates across node LPs
   // Worst nnz(factors)/nnz(B) fill ratio any node LP factorization hit

@@ -58,12 +58,9 @@ void install_signal_handlers() {
 
 int emit_requests(const tvnep::eval::Args& args) {
   namespace workload = tvnep::workload;
-  workload::ArrivalTrace trace;
   const std::string from = args.get_string("from-trace", "");
-  if (!from.empty()) {
-    trace = workload::load_trace(from);
-  } else {
-    workload::WorkloadParams params;
+  workload::WorkloadParams params;
+  if (from.empty()) {
     params.num_requests = args.get_int("emit", 20);
     params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     params.flexibility = args.get_double("flex", 1.5);
@@ -72,9 +69,13 @@ int emit_requests(const tvnep::eval::Args& args) {
     params.grid_rows = args.get_int("rows", 4);
     params.grid_cols = args.get_int("cols", 5);
     params.fix_node_mappings = !args.get_bool("no-mappings", false);
-    trace = workload::make_trace(params);
   }
   const std::string save = args.get_string("save-trace", "");
+  const bool drain = !args.get_bool("no-drain", false);
+  args.reject_unused_flags();
+
+  const workload::ArrivalTrace trace =
+      from.empty() ? workload::make_trace(params) : workload::load_trace(from);
   if (!save.empty()) workload::save_trace(trace, save);
 
   for (std::size_t i = 0; i < trace.requests.size(); ++i) {
@@ -86,8 +87,7 @@ int emit_requests(const tvnep::eval::Args& args) {
     message.mapping = trace.requests[i].mapping;
     std::cout << tvnep::serve::encode_request(message) << '\n';
   }
-  if (!args.get_bool("no-drain", false))
-    std::cout << "{\"type\":\"drain\"}\n";
+  if (drain) std::cout << "{\"type\":\"drain\"}\n";
   return 0;
 }
 
@@ -122,6 +122,7 @@ int dump_state(const tvnep::eval::Args& args) {
   const tvnep::net::SubstrateNetwork substrate = tvnep::net::make_grid(
       args.get_int("rows", 4), args.get_int("cols", 5),
       args.get_double("node-cap", 3.5), args.get_double("link-cap", 5.0));
+  args.reject_unused_flags();
 
   serve::RecoveredState recovered;
   const std::unique_ptr<serve::Wal> wal = serve::Wal::open(
@@ -188,6 +189,11 @@ int run_daemon(const tvnep::eval::Args& args) {
   tvnep::net::SubstrateNetwork substrate = tvnep::net::make_grid(
       args.get_int("rows", 4), args.get_int("cols", 5),
       args.get_double("node-cap", 3.5), args.get_double("link-cap", 5.0));
+  const bool has_metrics_port = args.has("metrics-port");
+  const int metrics_port_flag = args.get_int("metrics-port", 0);
+  const bool has_port = args.has("port");
+  const int port_flag = args.get_int("port", 0);
+  args.reject_unused_flags();
 
   serve::Daemon daemon(std::move(substrate), options);
   if (!options.state_dir.empty()) {
@@ -208,9 +214,8 @@ int run_daemon(const tvnep::eval::Args& args) {
     server_options.before_scrape = [&daemon] { daemon.refresh_slo_gauges(); };
     return server_options;
   }());
-  if (args.has("metrics-port")) {
-    const int metrics_port =
-        metrics_server.start(args.get_int("metrics-port", 0));
+  if (has_metrics_port) {
+    const int metrics_port = metrics_server.start(metrics_port_flag);
     if (metrics_port < 0) {
       tvnep::obs::log_error("serve.main", "cannot bind metrics port");
       return 1;
@@ -220,8 +225,8 @@ int run_daemon(const tvnep::eval::Args& args) {
   }
 
   long decided = 0;
-  if (args.has("port")) {
-    const int port = daemon.listen_tcp(args.get_int("port", 0));
+  if (has_port) {
+    const int port = daemon.listen_tcp(port_flag);
     if (port < 0) {
       tvnep::obs::log_error("serve.main", "cannot bind TCP port");
       return 1;

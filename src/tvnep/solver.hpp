@@ -36,7 +36,7 @@ struct TvnepSolveResult {
   // bench trajectories can track throughput, not just wall clock).
   long lp_pivots = 0;
   long lp_iterations = 0;   // primal phase 1 + phase 2 + dual, summed
-  long dual_fallbacks = 0;  // warm starts that fell back to primal phases
+  long dual_fallbacks = 0;  // warm dual solves that hit their iteration guard
   long refactorizations = 0;  // basis refactorizations across node LPs
   long basis_updates = 0;   // incremental basis updates across node LPs
   double lp_basis_fill_max = 0.0;  // worst factorization fill ratio seen

@@ -11,7 +11,8 @@
 //     nonzero multiplier times the bound it is active at.
 // The families are random LPs, a degenerate and a rank-deficient LP, fixed
 // columns, the LP relaxations of the Δ/Σ/cΣ TVNEP models, and warm-started
-// bound-tightening sequences (each step also matched to a cold solve).
+// bound-tightening sequences (each step also matched to a cold solve), on
+// random LPs and on the cΣ relaxation of a sweep cell.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -300,6 +301,80 @@ TEST(SimplexCertificate, WarmStartSequencesMatchColdSolves) {
     }
   }
   EXPECT_GT(optimal, 0);
+}
+
+TEST(SimplexCertificate, WarmStartSequencesMatchColdSolvesOnCSigmaCell) {
+  // The cΣ relaxation of a sweep cell (3x4 grid, six three-leaf stars,
+  // seed 1, flexibility 2) under random branch-and-bound bounds: fix a
+  // fractional integer column of the last optimum down or up, and start
+  // over from the original bounds when a branch turns infeasible. Every
+  // warm solve must match a cold solve, be certified, and be finished by
+  // the dual without its iteration guard.
+  workload::WorkloadParams params;
+  params.grid_rows = 3;
+  params.grid_cols = 4;
+  params.star_leaves = 3;
+  params.num_requests = 6;
+  params.seed = 1;
+  params.flexibility = 2.0;
+  const net::TvnepInstance instance = workload::generate_workload(params);
+  const auto formulation =
+      core::build_formulation(instance, core::ModelKind::kCSigma, {});
+  std::vector<bool> is_integer;
+  const Problem p = formulation->model().to_lp(&is_integer);
+  Rng rng(7);
+  Simplex warm(p);
+  Bounds bounds = original_bounds(p);
+  int optimal = 0;
+  int warm_solves = 0;
+  for (int step = 0; step < 24; ++step) {
+    const std::string what = "cSigma step " + std::to_string(step);
+    const SolveStatus ws = warm.solve();
+    if (step > 0) {
+      Simplex cold(p);
+      for (int j = 0; j < p.num_columns(); ++j)
+        cold.set_bounds(j, bounds.lower[static_cast<std::size_t>(j)],
+                        bounds.upper[static_cast<std::size_t>(j)]);
+      const SolveStatus cs = cold.solve();
+      ASSERT_EQ(ws, cs) << what << ": warm=" << to_string(ws)
+                        << " cold=" << to_string(cs);
+      ASSERT_TRUE(warm.stats().warm_started) << what;
+      ++warm_solves;
+      if (ws == SolveStatus::kOptimal) {
+        EXPECT_NEAR(warm.objective(), cold.objective(),
+                    kTol * std::max(1.0, std::fabs(cold.objective())))
+            << what;
+      }
+    }
+    EXPECT_FALSE(warm.stats().dual_fallback) << what;
+    std::vector<int> fractional;
+    if (ws == SolveStatus::kOptimal) {
+      ++optimal;
+      expect_certified(p, warm, bounds, what);
+      const std::vector<double> x = warm.primal_solution();
+      for (int j = 0; j < p.num_columns(); ++j) {
+        const double v = x[static_cast<std::size_t>(j)];
+        if (is_integer[static_cast<std::size_t>(j)] &&
+            std::fabs(v - std::round(v)) > 1e-6)
+          fractional.push_back(j);
+      }
+    }
+    if (fractional.empty()) {
+      warm.reset_bounds();
+      bounds = original_bounds(p);
+      continue;
+    }
+    const int j = fractional[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(fractional.size()) - 1))];
+    const double v = warm.primal_solution()[static_cast<std::size_t>(j)];
+    auto& lo = bounds.lower[static_cast<std::size_t>(j)];
+    auto& hi = bounds.upper[static_cast<std::size_t>(j)];
+    if (rng.uniform01() < 0.5) hi = std::floor(v);
+    else lo = std::ceil(v);
+    warm.set_bounds(j, lo, hi);
+  }
+  EXPECT_GT(optimal, 12);
+  EXPECT_EQ(warm_solves, 23);
 }
 
 }  // namespace
