@@ -1,7 +1,7 @@
 // Load bench for the admission service: replays a generated arrival trace
-// through the AdmissionEngine at 10x-1000x the paper's workload scale and
-// reports per-request decision latency (p50/p90/p99 from the log-bucket
-// histogram), throughput, acceptance and revenue — greedy-only versus
+// through a serve::Daemon at 10x-1000x the paper's workload scale and
+// reports per-request decision latency (p50/p90/p99/max from the raw
+// samples), throughput, acceptance and revenue — greedy-only versus
 // greedy plus periodic exact re-optimization, so the reoptimizer's revenue
 // win is measurable on the same trace.
 //
@@ -15,22 +15,24 @@
 //              [--state-dir DIR] [--wal-fsync off|batch|every] [--wal-ab]
 //
 // `--scale K` runs K * 20 requests (the paper's evaluation uses 20).
-// Reoptimization runs synchronously every `--reopt-every` admissions so
-// the bench is deterministic; the daemon runs the same passes on a wall
-// clock interval thread instead.
+// Every request is decided by Daemon::decide, the worker's own step, so
+// the bench walks the daemon's shed ladder (overload, aged, budget,
+// solver) and exports the daemon's metric names. It calls that step in
+// process instead of over pipes: reoptimization then runs synchronously
+// every `--reopt-every` admissions and the bench stays deterministic; the
+// daemon runs the same passes on a wall-clock interval thread instead.
 //
 // `--arrival-rate R` (virtual requests/second, 0 = as fast as possible)
 // replays the trace through a simulated single-server queue on a virtual
-// clock: request i arrives at i/R, waits for the server, and walks the
-// daemon's shed ladder on its *virtual* queue age — overload reject past
-// the SLO, fastpath past shed_fraction·SLO — with measured wall-clock
-// admit times as the service times. That makes queue depth, per-rung shed
-// counts and the SLO error budget measurable without wall-clock sleeps.
+// clock: request i arrives at i/R, waits for the server, and is decided at
+// its *virtual* queue age, with measured wall-clock service times. The SLO
+// error budget runs on the same virtual clock. That makes queue depth,
+// per-rung shed counts and the SLO budget measurable without sleeps.
 //
 // `--metrics-port P` starts the same loopback /metrics listener the
-// daemon uses; the bench records admission latency, rung counters and the
-// SLO budget gauges into the live registry, so a 1 Hz scraper watches the
-// run as it happens.
+// daemon uses; the daemon's decision step records latency, rung counters
+// and the SLO budget gauges into the live registry, so a 1 Hz scraper
+// watches the run as it happens.
 //
 // `--state-dir DIR` turns the durability layer on: every decision is
 // write-ahead-logged (DESIGN.md §16) before it counts, with the fsync
@@ -43,20 +45,14 @@
 #include <deque>
 #include <filesystem>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "eval/args.hpp"
 #include "fig_common.hpp"
 #include "net/topology.hpp"
-#include "obs/metrics.hpp"
-#include "serve/admission.hpp"
+#include "serve/daemon.hpp"
 #include "serve/metrics_server.hpp"
-#include "serve/protocol.hpp"
-#include "serve/reoptimizer.hpp"
-#include "serve/slo.hpp"
-#include "serve/wal.hpp"
 #include "support/atomic_file.hpp"
 #include "support/stats.hpp"
 #include "support/stopwatch.hpp"
@@ -67,10 +63,11 @@ using namespace tvnep;
 namespace {
 
 struct LoadOptions {
-  double slo_ms = 100.0;
-  double shed_fraction = 0.5;
+  /// The daemon configuration every run starts from; run_mode fills in
+  /// the WAL directory and fsync cadence of its durability level.
+  serve::DaemonOptions daemon;
   double arrival_rate = 0.0;  // virtual req/s; 0 = no queue simulation
-  serve::SloOptions slo;
+  int reopt_every = 4;
   /// WAL A/B axis: "off" disables the durability layer; "batch"/"every"
   /// write-ahead-log each decision into `state_root/<mode>-<wal>` with
   /// the corresponding fsync cadence.
@@ -82,9 +79,7 @@ struct ModeResult {
   std::string mode;
   long requests = 0;
   long accepted = 0;
-  long shed = 0;          // solver rung: exact path bailed, fastpath decided
-  long shed_aged = 0;     // age rung: queued past shed_fraction·SLO
-  long reject_overload = 0;  // queued past the whole SLO: reject, no work
+  serve::Daemon::LadderCounts ladder;
   double revenue = 0.0;
   long reopt_passes = 0;
   long reopt_installs = 0;
@@ -113,43 +108,32 @@ struct ModeResult {
 };
 
 ModeResult run_mode(const workload::ArrivalTrace& trace,
-                    const workload::WorkloadParams& params,
-                    const serve::AdmissionOptions& admission, bool with_reopt,
-                    int reopt_every, const serve::ReoptOptions& reopt_options,
+                    const workload::WorkloadParams& params, bool with_reopt,
                     const LoadOptions& load) {
   ModeResult result;
   result.mode = with_reopt ? "reopt" : "greedy";
   result.wal = load.wal;
-  const net::SubstrateNetwork substrate =
-      net::make_grid(params.grid_rows, params.grid_cols, params.node_capacity,
-                     params.link_capacity);
-  serve::AdmissionEngine engine(substrate, admission);
-  serve::Reoptimizer reoptimizer(&engine, reopt_options);
-  serve::SloBudget slo(load.slo);
 
-  // Durability layer under test: each run gets a fresh directory so the
-  // A/B rows measure logging cost, never recovery cost.
-  std::unique_ptr<serve::Wal> wal;
+  serve::DaemonOptions options = load.daemon;
   if (load.wal != "off") {
-    const std::string wal_dir =
-        load.state_root + "/" + result.mode + "-" + load.wal;
+    // Each run gets a fresh directory so the A/B rows measure logging
+    // cost, never recovery cost.
+    options.state_dir = load.state_root + "/" + result.mode + "-" + load.wal;
     std::error_code ec;
-    std::filesystem::remove_all(wal_dir, ec);
-    serve::WalOptions wal_options;
-    wal_options.fsync = load.wal == "batch"
-                            ? serve::WalOptions::Fsync::kBatch
-                            : serve::WalOptions::Fsync::kEvery;
-    serve::RecoveredState recovered;
-    wal = serve::Wal::open(wal_dir,
-                           serve::serve_state_fingerprint(substrate, admission),
-                           wal_options, &recovered);
-    wal->attach(&engine);
+    std::filesystem::remove_all(options.state_dir, ec);
+    options.wal.fsync = load.wal == "batch" ? serve::WalOptions::Fsync::kBatch
+                                            : serve::WalOptions::Fsync::kEvery;
   }
+  serve::Daemon daemon(
+      net::make_grid(params.grid_rows, params.grid_cols, params.node_capacity,
+                     params.link_capacity),
+      options);
 
   const bool paced = load.arrival_rate > 0.0;
   double server_free = 0.0;       // virtual clock: when the server frees up
   std::deque<double> in_flight;   // virtual finish times of undecided work
   long depth_sum = 0;
+  double slo_now = 0.0;           // the SLO window's time after a decision
 
   Stopwatch total;
   for (std::size_t i = 0; i < trace.requests.size(); ++i) {
@@ -166,70 +150,31 @@ ModeResult run_mode(const workload::ArrivalTrace& trace,
     const long depth = static_cast<long>(in_flight.size());
     result.max_queue_depth = std::max(result.max_queue_depth, depth);
     depth_sum += depth;
-    obs::gauge_set("serve.queue.depth", static_cast<double>(depth));
     const double start_service = paced ? std::max(arrival, server_free) : 0.0;
-    const double wait_ms = (start_service - arrival) * 1000.0;
+    const double now = paced ? start_service : total.seconds();
 
-    Stopwatch per_request;
-    bool accepted = false;
-    if (paced && wait_ms > load.slo_ms) {
-      // Overload rung: the SLO is already blown before any work starts.
-      ++result.reject_overload;
-      obs::counter_add("serve.shed.overload");
-    } else {
-      serve::AdmitResult admit;
-      if (paced && wait_ms > load.shed_fraction * load.slo_ms) {
-        // Age rung: not enough headroom left for the exact path.
-        ++result.shed_aged;
-        obs::counter_add("serve.shed.aged");
-        admit = engine.admit_fastpath(message);
-      } else {
-        admit = engine.admit(message);
-        // Solver rung: an oversized component or a failed solve falls back
-        // to the heuristic fastpath instead of dropping the request.
-        if (admit.outcome == serve::AdmitOutcome::kComponentTooLarge ||
-            admit.outcome == serve::AdmitOutcome::kSolverFailed) {
-          ++result.shed;
-          obs::counter_add("serve.shed.solver");
-          admit = engine.admit_fastpath(message);
-        }
-      }
-      accepted = admit.outcome == serve::AdmitOutcome::kAccepted;
-    }
-    const double service_s = per_request.seconds();
-    const double latency_ms = wait_ms + service_s * 1000.0;
+    Stopwatch service;
+    const serve::Decision decision =
+        daemon.decide(message, start_service - arrival, now);
+    const double service_s = service.seconds();
+    slo_now = now + service_s;
     if (paced) {
-      server_free = start_service + service_s;
+      server_free = slo_now;
       in_flight.push_back(server_free);
     }
-    // Snapshot cadence between requests, exactly like the daemon worker —
-    // the append (inside admit, via the state sink) is in the measured
-    // service time; the compaction is not on any request's critical path.
-    if (wal != nullptr && !wal->crashed() && wal->wants_snapshot())
-      engine.with_snapshot_full(
-          [&](const serve::AdmissionEngine::Snapshot& s) {
-            wal->write_snapshot(s);
-          });
+    // Snapshot cadence between requests, exactly like the daemon worker:
+    // the WAL append (inside the decision) is in the measured latency;
+    // the compaction is not on any request's critical path.
+    daemon.snapshot_if_due();
 
-    result.latencies_ms.push_back(latency_ms);
-    obs::histogram_observe("serve.admit.latency_ms", latency_ms);
+    result.latencies_ms.push_back(decision.latency_ms);
     ++result.requests;
-    if (accepted) {
-      ++result.accepted;
-      obs::counter_add("serve.admit.accept");
-    } else {
-      obs::counter_add("serve.admit.reject");
-    }
-    slo.record(paced ? arrival : total.seconds(), latency_ms > load.slo_ms);
-    const serve::SloBudget::Reading reading =
-        slo.read(paced ? arrival : total.seconds());
-    obs::gauge_set("serve.slo.budget_remaining", reading.budget_remaining);
-    obs::gauge_set("serve.slo.burn_rate", reading.burn_rate);
-    result.slo_budget_remaining = reading.budget_remaining;
+    if (decision.accepted) ++result.accepted;
 
-    if (with_reopt && reopt_every > 0 &&
-        (i + 1) % static_cast<std::size_t>(reopt_every) == 0) {
-      const serve::ReoptReport report = reoptimizer.reoptimize_once();
+    if (with_reopt && load.reopt_every > 0 &&
+        (i + 1) % static_cast<std::size_t>(load.reopt_every) == 0) {
+      const serve::ReoptReport report =
+          daemon.reoptimizer().reoptimize_once();
       if (report.attempted) ++result.reopt_passes;
       if (report.installed) ++result.reopt_installs;
       if (report.stale) ++result.reopt_stale;
@@ -239,18 +184,20 @@ ModeResult run_mode(const workload::ArrivalTrace& trace,
   if (result.requests > 0)
     result.mean_queue_depth =
         static_cast<double>(depth_sum) / static_cast<double>(result.requests);
+  result.ladder = daemon.ladder_counts();
+  result.slo_budget_remaining =
+      daemon.slo_budget().read(slo_now).budget_remaining;
 
-  if (wal != nullptr) {
+  if (const serve::Wal* wal = daemon.wal()) {
     const serve::WalStats stats = wal->stats();
     result.wal_appends = stats.appends;
     result.wal_fsyncs = stats.fsyncs;
     result.wal_snapshots = stats.snapshots;
-    engine.set_state_sink({});
   }
 
   // Paper revenue (Section IV-E.1): every commit in the history is an
   // accepted request contributing d_R * sum of its node demands.
-  for (const serve::Commit& c : engine.history())
+  for (const serve::Commit& c : daemon.engine().history())
     result.revenue += c.original.duration() * c.original.total_node_demand();
   return result;
 }
@@ -258,12 +205,13 @@ ModeResult run_mode(const workload::ArrivalTrace& trace,
 void print_result(const ModeResult& r) {
   std::printf(
       "%-6s wal=%-5s requests=%-6ld accepted=%-6ld shed=%-5ld aged=%-4ld "
-      "overload=%-4ld revenue=%-10.3f reopt=%ld/%ld stale=%ld  "
+      "budget=%-4ld overload=%-4ld revenue=%-10.3f reopt=%ld/%ld stale=%ld  "
       "p50=%.2fms p90=%.2fms p99=%.2fms max=%.2fms  qmax=%ld qmean=%.2f "
-      "budget=%.2f  wal=%ld/%ld/%ld  %.1f req/s (%.2fs total)\n",
-      r.mode.c_str(), r.wal.c_str(), r.requests, r.accepted, r.shed,
-      r.shed_aged, r.reject_overload, r.revenue, r.reopt_installs,
-      r.reopt_passes, r.reopt_stale, r.latency_quantile_ms(0.50),
+      "slo_budget=%.2f  wal=%ld/%ld/%ld  %.1f req/s (%.2fs total)\n",
+      r.mode.c_str(), r.wal.c_str(), r.requests, r.accepted, r.ladder.solver,
+      r.ladder.aged, r.ladder.budget, r.ladder.overload, r.revenue,
+      r.reopt_installs, r.reopt_passes, r.reopt_stale,
+      r.latency_quantile_ms(0.50),
       r.latency_quantile_ms(0.90), r.latency_quantile_ms(0.99),
       r.latency_quantile_ms(1.0),
       r.max_queue_depth, r.mean_queue_depth, r.slo_budget_remaining,
@@ -279,8 +227,6 @@ int main(int argc, char** argv) {
 
   const int scale = args.get_int("scale", 10);
   const std::string mode = args.get_string("mode", "both");
-  const double slo_ms = args.get_double("slo-ms", 100.0);
-  const double shed_fraction = args.get_double("shed-fraction", 0.5);
 
   workload::WorkloadParams params;
   params.num_requests = scale * 20;
@@ -293,23 +239,23 @@ int main(int argc, char** argv) {
   const std::string trace_out = args.get_string("emit-trace", "");
   if (!trace_out.empty()) workload::save_trace(trace, trace_out);
 
-  serve::AdmissionOptions admission;
-  admission.max_step_requests = args.get_int("max-step", 64);
-  // The exact path gets the same per-step budget the daemon's shed ladder
-  // would leave it before falling back to the fastpath.
-  admission.greedy.per_iteration_time_limit =
-      shed_fraction * slo_ms / 1000.0;
-
-  serve::ReoptOptions reopt_options;
-  reopt_options.time_limit_seconds = args.get_double("reopt-budget", 2.0);
-  const int reopt_every = args.get_int("reopt-every", 4);
-
   LoadOptions load;
-  load.slo_ms = slo_ms;
-  load.shed_fraction = shed_fraction;
+  serve::DaemonOptions& daemon = load.daemon;
+  daemon.slo_ms = args.get_double("slo-ms", 100.0);
+  daemon.shed_fraction = args.get_double("shed-fraction", 0.5);
+  daemon.admission.max_step_requests = args.get_int("max-step", 64);
+  // The exact path gets the same per-step budget as in tvnep_serve: what
+  // the shed ladder leaves it before falling back to the fastpath.
+  daemon.admission.greedy.per_iteration_time_limit =
+      daemon.shed_fraction * daemon.slo_ms / 1000.0;
+  daemon.reopt.time_limit_seconds = args.get_double("reopt-budget", 2.0);
+  // No interval thread: run_mode reoptimizes every --reopt-every
+  // admissions, so a run's revenue does not depend on timing.
+  daemon.reopt_interval_seconds = 0.0;
+  daemon.slo.window_seconds = args.get_double("slo-window", 60.0);
+  daemon.slo.budget_fraction = args.get_double("slo-budget", 0.05);
+  load.reopt_every = args.get_int("reopt-every", 4);
   load.arrival_rate = args.get_double("arrival-rate", 0.0);
-  load.slo.window_seconds = args.get_double("slo-window", 60.0);
-  load.slo.budget_fraction = args.get_double("slo-budget", 0.05);
 
   const bool has_metrics_port = args.has("metrics-port");
   const int metrics_port_flag = args.get_int("metrics-port", 0);
@@ -335,7 +281,8 @@ int main(int argc, char** argv) {
               "slo=%gms, max-step=%d, arrival-rate=%g\n",
               scale, params.num_requests,
               static_cast<unsigned long long>(params.seed),
-              params.flexibility, slo_ms, admission.max_step_requests,
+              params.flexibility, daemon.slo_ms,
+              daemon.admission.max_step_requests,
               load.arrival_rate);
 
   if (wal_fsync != "off" && wal_fsync != "batch" && wal_fsync != "every") {
@@ -355,13 +302,9 @@ int main(int argc, char** argv) {
   for (const std::string& wal_level : wal_levels) {
     load.wal = wal_level;
     if (mode == "greedy" || mode == "both")
-      results.push_back(run_mode(trace, params, admission,
-                                 /*with_reopt=*/false, reopt_every,
-                                 reopt_options, load));
+      results.push_back(run_mode(trace, params, /*with_reopt=*/false, load));
     if (mode == "reopt" || mode == "both")
-      results.push_back(run_mode(trace, params, admission,
-                                 /*with_reopt=*/true, reopt_every,
-                                 reopt_options, load));
+      results.push_back(run_mode(trace, params, /*with_reopt=*/true, load));
   }
   for (const ModeResult& r : results) print_result(r);
   metrics_server.stop();
@@ -397,16 +340,17 @@ int main(int argc, char** argv) {
   if (!csv.empty()) {
     AtomicFile out(csv);
     out.stream() << "scale,mode,wal,requests,accepted,shed,shed_aged,"
-                    "reject_overload,revenue,reopt_passes,reopt_installs,"
-                    "reopt_stale,p50_ms,p90_ms,p99_ms,max_ms,"
+                    "shed_budget,reject_overload,revenue,reopt_passes,"
+                    "reopt_installs,reopt_stale,p50_ms,p90_ms,p99_ms,max_ms,"
                     "max_queue_depth,mean_queue_depth,slo_budget_remaining,"
                     "wal_appends,wal_fsyncs,wal_snapshots,"
                     "req_per_s,total_s\n";
     for (const ModeResult& r : results)
       out.stream() << scale << ',' << r.mode << ',' << r.wal << ','
                    << r.requests << ','
-                   << r.accepted << ',' << r.shed << ',' << r.shed_aged << ','
-                   << r.reject_overload << ',' << r.revenue << ','
+                   << r.accepted << ',' << r.ladder.solver << ','
+                   << r.ladder.aged << ',' << r.ladder.budget << ','
+                   << r.ladder.overload << ',' << r.revenue << ','
                    << r.reopt_passes << ',' << r.reopt_installs << ','
                    << r.reopt_stale << ','
                    << r.latency_quantile_ms(0.50) << ','

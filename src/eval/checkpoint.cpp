@@ -27,21 +27,14 @@ JournalValue decode_value(const JsonValue& value, const std::string& path,
 
 CellRecord decode_record(const JsonValue& value, const std::string& path,
                          long line) {
-  const JsonValue* label = value.find("label");
-  const JsonValue* flex = value.find("flex_index");
-  const JsonValue* seed = value.find("seed");
-  if (label == nullptr || !label->is_string() || flex == nullptr ||
-      !flex->is_number() || seed == nullptr || !seed->is_number())
-    throw ParseError(path, line, 0, "journal record is missing its cell key");
-  const JsonValue* fields = value.find("fields");
-  if (fields == nullptr || !fields->is_object())
-    throw ParseError(path, line, 0, "journal record has no fields object");
   CellRecord record;
-  record.key.label = label->as_string();
+  record.key.label = string_member(value, "label", path, line);
   record.key.flex_index =
-      require_index(*flex, "flex_index", kAnyIntIndex, path, line);
-  record.key.seed = require_index(*seed, "seed", kAnyIntIndex, path, line);
-  for (const auto& [name, field] : fields->as_object())
+      require_index(member(value, "flex_index", path, line), "flex_index",
+                    kAnyIntIndex, path, line);
+  record.key.seed = require_index(member(value, "seed", path, line), "seed",
+                                  kAnyIntIndex, path, line);
+  for (const auto& [name, field] : object_member(value, "fields", path, line))
     record.fields[name] = decode_value(field, path, line);
   return record;
 }

@@ -266,12 +266,12 @@ void Daemon::reader_loop(int in_fd, int out_fd) {
   queue_cv_.notify_one();
 }
 
-Decision Daemon::decide(const RequestMessage& request,
-                        double arrival_seconds) {
+Decision Daemon::decide(const RequestMessage& request, double age_seconds,
+                        double now_seconds) {
+  const Stopwatch service;
   Decision decision;
   decision.id = request.id;
   const double slo_s = options_.slo_ms / 1000.0;
-  const double age = clock_.seconds() - arrival_seconds;
 
   auto fill = [&](const AdmitResult& result, const char* mode) {
     decision.mode = mode;
@@ -296,18 +296,18 @@ Decision Daemon::decide(const RequestMessage& request,
   const bool tracing = obs::Tracer::active();
   const std::string tag = tracing ? req_tag(request.id) : std::string();
 
-  if (age >= slo_s) {
+  if (age_seconds >= slo_s) {
     // SLO already blown while queued: structured reject, no work.
     obs::counter_add("serve.reject.overload");
     rung_overload_.fetch_add(1, std::memory_order_relaxed);
     decision.reason = "overload";
     decision.mode = "shed";
-  } else if (age >= options_.shed_fraction * slo_s) {
+  } else if (age_seconds >= options_.shed_fraction * slo_s) {
     obs::counter_add("serve.shed.fastpath");
     rung_aged_.fetch_add(1, std::memory_order_relaxed);
     obs::SpanScope span(tracing, "serve.request/fastpath", "serve", tag);
     fill(engine_.admit_fastpath(request), "fastpath");
-  } else if (slo_.exhausted(clock_.seconds())) {
+  } else if (slo_.exhausted(now_seconds)) {
     // The windowed error budget is spent: shed decision quality across
     // the board before individual requests start blowing the SLO.
     obs::counter_add("serve.shed.budget");
@@ -333,19 +333,33 @@ Decision Daemon::decide(const RequestMessage& request,
     }
   }
 
-  decision.latency_ms = (clock_.seconds() - arrival_seconds) * 1000.0;
+  const double service_s = service.seconds();
+  decision.latency_ms = (age_seconds + service_s) * 1000.0;
   obs::histogram_observe("serve.admit.latency_ms", decision.latency_ms);
   obs::counter_add(decision.accepted ? "serve.decision.accepted"
                                      : "serve.decision.rejected");
-  slo_.record(clock_.seconds(), decision.latency_ms > options_.slo_ms ||
-                                    decision.reason == "overload");
-  refresh_slo_gauges();
+  const double end_seconds = now_seconds + service_s;
+  slo_.record(end_seconds, decision.latency_ms > options_.slo_ms ||
+                               decision.reason == "overload");
+  refresh_slo_gauges(end_seconds);
   return decision;
 }
 
-void Daemon::refresh_slo_gauges() {
+void Daemon::snapshot_if_due() {
+  if (wal_ == nullptr || !wal_->wants_snapshot()) return;
+  // Publish under the engine lock (with_snapshot_full) so no install
+  // record can land between reading the state and the log compaction —
+  // it would be erased but not captured.
+  engine_.with_snapshot_full([this](const AdmissionEngine::Snapshot& state) {
+    wal_->write_snapshot(state);
+  });
+}
+
+void Daemon::refresh_slo_gauges() { refresh_slo_gauges(clock_.seconds()); }
+
+void Daemon::refresh_slo_gauges(double now_seconds) {
   if (!obs::Metrics::active()) return;
-  const SloBudget::Reading reading = slo_.read(clock_.seconds());
+  const SloBudget::Reading reading = slo_.read(now_seconds);
   obs::gauge_set("serve.slo.budget_remaining", reading.budget_remaining);
   obs::gauge_set("serve.slo.burn_rate", reading.burn_rate);
   obs::gauge_set("serve.slo.window_total",
@@ -412,7 +426,9 @@ long Daemon::serve(int in_fd, int out_fd) {
         Decision decision;
         decision.id = rid;
         try {
-          decision = decide(item.message.request, item.arrival_seconds);
+          const double now = clock_.seconds();
+          decision = decide(item.message.request, now - item.arrival_seconds,
+                            now);
         } catch (const std::exception& e) {
           // "Never crashes under load": a solver-side failure on one
           // request answers a structured reject and the stream continues.
@@ -440,15 +456,7 @@ long Daemon::serve(int in_fd, int out_fd) {
         }
         stream_decided_.fetch_add(1, std::memory_order_relaxed);
         decided_total_.fetch_add(1, std::memory_order_relaxed);
-        if (wal_ != nullptr && wal_->wants_snapshot()) {
-          // Publish under the engine lock (with_snapshot_full) so no
-          // install record can land between reading the state and the
-          // log compaction — it would be erased but not captured.
-          engine_.with_snapshot_full(
-              [this](const AdmissionEngine::Snapshot& state) {
-                wal_->write_snapshot(state);
-              });
-        }
+        snapshot_if_due();
         break;
       }
       case MessageKind::kStats:

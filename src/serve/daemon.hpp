@@ -114,6 +114,22 @@ class Daemon {
   /// listener calls this before each render so idle scrapes stay current).
   void refresh_slo_gauges();
 
+  /// The worker's decision step: one request down the shed ladder —
+  /// overload reject once `age_seconds` reaches the SLO, fastpath once it
+  /// reaches shed_fraction·SLO or the SLO budget is spent at
+  /// `now_seconds`, else the exact step with a fastpath fallback (solver
+  /// rung). The worker passes its own clock's readings; a driver with a
+  /// virtual queue (bench/serve_load) passes its virtual ones, and the
+  /// SLO window then runs on that timebase. The latency is the age plus
+  /// the measured service time. Only one thread decides: never call this
+  /// while serve() runs.
+  Decision decide(const RequestMessage& request, double age_seconds,
+                  double now_seconds);
+
+  /// Publishes a WAL snapshot when one is due. Call after a decision,
+  /// off its measured latency.
+  void snapshot_if_due();
+
   /// Shed-ladder rung totals, exported in stats_fields(). Readable from
   /// any thread.
   struct LadderCounts {
@@ -141,7 +157,7 @@ class Daemon {
   }
   bool write_line(int fd, const std::string& line);
   void reader_loop(int in_fd, int out_fd);
-  Decision decide(const RequestMessage& request, double arrival_seconds);
+  void refresh_slo_gauges(double now_seconds);
 
   DaemonOptions options_;
   AdmissionEngine engine_;

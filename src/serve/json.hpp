@@ -1,5 +1,7 @@
-// The serve protocol's view of the repo's one JSON reader (support/json):
-// serve::JsonValue and serve::parse_json name the shared implementation.
+// serve::JsonValue and serve::parse_json: the repo's one JSON reader
+// (support/json) under the serve namespace. src/ includes support/json.hpp
+// directly; this alias stays for the benchmark harness, which names the
+// serve spelling.
 #pragma once
 
 #include "support/json.hpp"

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "obs/trace.hpp"
-#include "serve/json.hpp"
+#include "support/json.hpp"
 #include "support/parse_error.hpp"
 
 namespace tvnep::serve {
@@ -16,36 +16,33 @@ namespace {
   throw ParseError(source, line, 0, message);
 }
 
-double require_number(const JsonValue& obj, const std::string& key,
-                      const std::string& source, long line) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number())
-    fail(source, line, "missing or non-numeric field \"" + key + "\"");
-  if (!std::isfinite(v->as_number()))
-    fail(source, line, "field \"" + key + "\" must be finite");
-  return v->as_number();
+double finite_member(const JsonValue& obj, const char* key,
+                     const std::string& source, long line) {
+  const double x = number_member(obj, key, source, line);
+  if (!std::isfinite(x))
+    fail(source, line, std::string("field \"") + key + "\" must be finite");
+  return x;
 }
 
 RequestMessage parse_request(const JsonValue& obj, const std::string& source,
                              long line) {
   RequestMessage out;
-  const JsonValue* id = obj.find("id");
-  if (id == nullptr || !id->is_string() || id->as_string().empty())
-    fail(source, line, "request needs a non-empty string \"id\"");
-  out.id = id->as_string();
+  out.id = string_member(obj, "id", source, line);
+  if (out.id.empty()) fail(source, line, "request needs a non-empty \"id\"");
 
-  const double t_s = require_number(obj, "t_s", source, line);
-  const double t_e = require_number(obj, "t_e", source, line);
-  const double d = require_number(obj, "d", source, line);
+  const double t_s = finite_member(obj, "t_s", source, line);
+  const double t_e = finite_member(obj, "t_e", source, line);
+  const double d = finite_member(obj, "d", source, line);
   if (d <= 0.0) fail(source, line, "duration must be positive");
   if (t_e - t_s < d)
     fail(source, line, "window [t_s, t_e] shorter than duration");
 
-  const JsonValue* nodes = obj.find("nodes");
-  if (nodes == nullptr || !nodes->is_array() || nodes->as_array().empty())
+  const std::vector<JsonValue>& nodes =
+      array_member(obj, "nodes", source, line);
+  if (nodes.empty())
     fail(source, line, "request needs a non-empty \"nodes\" demand array");
   net::VnetRequest request(out.id);
-  for (const JsonValue& demand : nodes->as_array()) {
+  for (const JsonValue& demand : nodes) {
     if (!demand.is_number() || demand.as_number() < 0.0)
       fail(source, line, "node demands must be non-negative numbers");
     request.add_node(demand.as_number());
@@ -97,12 +94,8 @@ InMessage parse_message(const std::string& line, const std::string& source,
                         long line_number) {
   const JsonValue root = parse_json(line, source, line_number);
   if (!root.is_object()) fail(source, line_number, "message must be an object");
-  const JsonValue* type = root.find("type");
-  if (type == nullptr || !type->is_string())
-    fail(source, line_number, "message needs a string \"type\"");
-
   InMessage out;
-  const std::string& kind = type->as_string();
+  const std::string& kind = string_member(root, "type", source, line_number);
   if (kind == "request") {
     out.kind = MessageKind::kRequest;
     out.request = parse_request(root, source, line_number);

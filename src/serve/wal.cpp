@@ -1,7 +1,6 @@
 #include "serve/wal.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -40,72 +39,6 @@ const char* outcome_name(AdmitOutcome outcome) {
     case AdmitOutcome::kInvalidMapping: return "invalid_mapping";
   }
   return "rejected";
-}
-
-// ----- strict member accessors (every failure is a located ParseError) --
-
-const JsonValue& member(const JsonValue& value, const char* key,
-                        const std::string& source, long line) {
-  const JsonValue* m = value.find(key);
-  if (m == nullptr)
-    throw ParseError(source, line, 0,
-                     std::string("missing key \"") + key + "\"");
-  return *m;
-}
-
-double number_member(const JsonValue& value, const char* key,
-                     const std::string& source, long line) {
-  const JsonValue& m = member(value, key, source, line);
-  if (!m.is_number())
-    throw ParseError(source, line, 0,
-                     std::string("key \"") + key + "\" is not a number");
-  return m.as_number();
-}
-
-/// A sequence number or counter: a whole number below 2^64, range-checked
-/// before the cast for the same reason as require_index.
-std::uint64_t as_uint(const JsonValue& value, const std::string& what,
-                      const std::string& source, long line) {
-  const double raw = value.is_number() ? value.as_number() : -1.0;
-  if (!(raw >= 0.0) || raw >= 18446744073709551616.0 ||
-      std::floor(raw) != raw)
-    throw ParseError(source, line, 0, what + " out of range");
-  return static_cast<std::uint64_t>(raw);
-}
-
-std::uint64_t uint_member(const JsonValue& value, const char* key,
-                          const std::string& source, long line) {
-  return as_uint(member(value, key, source, line),
-                 std::string("key \"") + key + "\"", source, line);
-}
-
-const std::string& string_member(const JsonValue& value, const char* key,
-                                 const std::string& source, long line) {
-  const JsonValue& m = member(value, key, source, line);
-  if (!m.is_string())
-    throw ParseError(source, line, 0,
-                     std::string("key \"") + key + "\" is not a string");
-  return m.as_string();
-}
-
-bool bool_member(const JsonValue& value, const char* key,
-                 const std::string& source, long line) {
-  const JsonValue& m = member(value, key, source, line);
-  if (!m.is_bool())
-    throw ParseError(source, line, 0,
-                     std::string("key \"") + key + "\" is not a bool");
-  return m.as_bool();
-}
-
-const std::vector<JsonValue>& array_member(const JsonValue& value,
-                                           const char* key,
-                                           const std::string& source,
-                                           long line) {
-  const JsonValue& m = member(value, key, source, line);
-  if (!m.is_array())
-    throw ParseError(source, line, 0,
-                     std::string("key \"") + key + "\" is not an array");
-  return m.as_array();
 }
 
 // ----- embedding codec -----
@@ -224,7 +157,8 @@ void apply_record(AdmissionEngine::Snapshot* state, const JsonValue& record,
   const std::string& type = string_member(record, "t", source, line);
   if (type == "d") {
     for (const JsonValue& seq : array_member(record, "retired", source, line)) {
-      const std::uint64_t target = as_uint(seq, "retired entry", source, line);
+      const std::uint64_t target =
+          require_uint(seq, "retired entry", source, line);
       for (std::size_t i = 0; i < state->commits.size(); ++i) {
         if (state->commits[i].seq != target) continue;
         state->retired.push_back(std::move(state->commits[i]));
@@ -385,11 +319,9 @@ Commit decode_commit(const JsonValue& value, const std::string& source,
                        number_member(req, "te", source, line),
                        number_member(req, "d", source, line));
   commit.original = std::move(request);
-  if (const JsonValue* map = value.find("map")) {
-    if (!map->is_array())
-      throw ParseError(source, line, 0, "\"map\" is not an array");
+  if (value.find("map") != nullptr) {
     std::vector<net::NodeId> mapping;
-    for (const JsonValue& node : map->as_array())
+    for (const JsonValue& node : array_member(value, "map", source, line))
       mapping.push_back(
           require_index(node, "mapping entry", kAnyIntIndex, source, line));
     commit.mapping = std::move(mapping);

@@ -319,6 +319,77 @@ int require_index(const JsonValue& value, const std::string& what,
   return static_cast<int>(x);
 }
 
+std::uint64_t require_uint(const JsonValue& value, const std::string& what,
+                           const std::string& source, long line) {
+  const double x = value.is_number() ? value.as_number() : -1.0;
+  if (!(x >= 0.0) || x >= 18446744073709551616.0 || std::floor(x) != x)
+    throw ParseError(source, line, 0, what + " out of range");
+  return static_cast<std::uint64_t>(x);
+}
+
+namespace {
+
+[[noreturn]] void wrong_type(const char* key, const char* type,
+                             const std::string& source, long line) {
+  throw ParseError(source, line, 0,
+                   std::string("key \"") + key + "\" is not " + type);
+}
+
+}  // namespace
+
+const JsonValue& member(const JsonValue& value, const char* key,
+                        const std::string& source, long line) {
+  const JsonValue* m = value.find(key);
+  if (m == nullptr)
+    throw ParseError(source, line, 0,
+                     std::string("missing key \"") + key + "\"");
+  return *m;
+}
+
+double number_member(const JsonValue& value, const char* key,
+                     const std::string& source, long line) {
+  const JsonValue& m = member(value, key, source, line);
+  if (!m.is_number()) wrong_type(key, "a number", source, line);
+  return m.as_number();
+}
+
+std::uint64_t uint_member(const JsonValue& value, const char* key,
+                          const std::string& source, long line) {
+  return require_uint(member(value, key, source, line),
+                      std::string("key \"") + key + "\"", source, line);
+}
+
+const std::string& string_member(const JsonValue& value, const char* key,
+                                 const std::string& source, long line) {
+  const JsonValue& m = member(value, key, source, line);
+  if (!m.is_string()) wrong_type(key, "a string", source, line);
+  return m.as_string();
+}
+
+bool bool_member(const JsonValue& value, const char* key,
+                 const std::string& source, long line) {
+  const JsonValue& m = member(value, key, source, line);
+  if (!m.is_bool()) wrong_type(key, "a bool", source, line);
+  return m.as_bool();
+}
+
+const std::vector<JsonValue>& array_member(const JsonValue& value,
+                                           const char* key,
+                                           const std::string& source,
+                                           long line) {
+  const JsonValue& m = member(value, key, source, line);
+  if (!m.is_array()) wrong_type(key, "an array", source, line);
+  return m.as_array();
+}
+
+const std::map<std::string, JsonValue>& object_member(
+    const JsonValue& value, const char* key, const std::string& source,
+    long line) {
+  const JsonValue& m = member(value, key, source, line);
+  if (!m.is_object()) wrong_type(key, "an object", source, line);
+  return m.as_object();
+}
+
 std::string json_escape(const std::string& value) {
   std::string out;
   out.reserve(value.size());

@@ -15,6 +15,7 @@
 // exact_number for doubles that must re-read bit-identically.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
@@ -85,6 +86,35 @@ inline constexpr long long kAnyIntIndex =
 /// behaviour.
 int require_index(const JsonValue& value, const std::string& what,
                   long long limit, const std::string& source, long line);
+
+/// `value` as a sequence number or counter: a whole number below 2^64,
+/// range-checked before the cast for the same reason as require_index.
+std::uint64_t require_uint(const JsonValue& value, const std::string& what,
+                           const std::string& source, long line);
+
+// Located member accessors for the decoders of untrusted records (the
+// serve protocol, the WAL and its snapshots, the sweep checkpoint). A
+// missing key or a member of the wrong type throws a ParseError at
+// source:line naming the key; `value` that is no object has no members.
+
+const JsonValue& member(const JsonValue& value, const char* key,
+                        const std::string& source, long line);
+double number_member(const JsonValue& value, const char* key,
+                     const std::string& source, long line);
+/// require_uint on the member.
+std::uint64_t uint_member(const JsonValue& value, const char* key,
+                          const std::string& source, long line);
+const std::string& string_member(const JsonValue& value, const char* key,
+                                 const std::string& source, long line);
+bool bool_member(const JsonValue& value, const char* key,
+                 const std::string& source, long line);
+const std::vector<JsonValue>& array_member(const JsonValue& value,
+                                           const char* key,
+                                           const std::string& source,
+                                           long line);
+const std::map<std::string, JsonValue>& object_member(
+    const JsonValue& value, const char* key, const std::string& source,
+    long line);
 
 /// Escapes a string for embedding between JSON quotes.
 std::string json_escape(const std::string& value);

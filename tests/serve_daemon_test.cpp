@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "net/topology.hpp"
-#include "serve/json.hpp"
+#include "support/json.hpp"
 #include "workload/trace.hpp"
 
 namespace tvnep::serve {
@@ -284,6 +284,76 @@ TEST(ServeDaemon, OverloadShedsAndRejectsInsteadOfCrashing) {
     }
   }
   EXPECT_GT(overload, 0);
+}
+
+bool same_counts(const Daemon::LadderCounts& a,
+                 const Daemon::LadderCounts& b) {
+  return a.door == b.door && a.overload == b.overload && a.aged == b.aged &&
+         a.budget == b.budget && a.solver == b.solver;
+}
+
+TEST(ServeDaemon, DecideWalksEachRung) {
+  DaemonOptions options;
+  options.slo_ms = 100.0;
+  options.shed_fraction = 0.5;
+  // One committed request overlapping the candidate already makes a
+  // two-request component: too large for the exact step.
+  options.admission.max_step_requests = 1;
+  Daemon daemon(net::make_grid(3, 3, 4.0, 4.0), options);
+
+  // Every request has the same window, so any two overlap.
+  auto request = [](const std::string& id) {
+    RequestMessage message;
+    message.id = id;
+    message.request = net::VnetRequest(id);
+    message.request.add_node(1.0);
+    message.request.add_node(1.0);
+    message.request.add_link(0, 1, 1.0);
+    message.request.set_temporal(0.0, 20.0, 5.0);
+    return message;
+  };
+  Daemon::LadderCounts expected;
+  // The SLO window runs on the caller's timebase; 1000 s is past the 60 s
+  // window of the breaches recorded at 0 below.
+  const double later = 1000.0;
+
+  // Fresh request, empty ledger, budget intact: the exact step decides.
+  Decision d = daemon.decide(request("exact"), 0.0, later);
+  EXPECT_EQ(d.mode, "exact");
+  EXPECT_TRUE(d.accepted);
+  EXPECT_TRUE(same_counts(daemon.ladder_counts(), expected));
+
+  // Queued for the whole SLO: structured reject, no work.
+  d = daemon.decide(request("overload"), 0.1, later);
+  EXPECT_EQ(d.mode, "shed");
+  EXPECT_EQ(d.reason, "overload");
+  EXPECT_FALSE(d.accepted);
+  EXPECT_GE(d.latency_ms, 100.0);
+  ++expected.overload;
+  EXPECT_TRUE(same_counts(daemon.ladder_counts(), expected));
+
+  // Queued past shed_fraction·SLO: the fastpath decides.
+  d = daemon.decide(request("aged"), 0.05, later);
+  EXPECT_EQ(d.mode, "fastpath");
+  ++expected.aged;
+  EXPECT_TRUE(same_counts(daemon.ladder_counts(), expected));
+
+  // The "exact" commit overlaps: the component exceeds max_step_requests,
+  // so the exact path bails and the fastpath decides.
+  d = daemon.decide(request("solver"), 0.0, later);
+  EXPECT_EQ(d.mode, "fastpath");
+  ++expected.solver;
+  EXPECT_TRUE(same_counts(daemon.ladder_counts(), expected));
+
+  // A spent error budget sheds a fresh request before its age would.
+  const long min_samples = options.slo.min_samples;
+  for (long i = 0; i < min_samples; ++i)
+    daemon.slo_budget().record(0.0, /*breached=*/true);
+  ASSERT_TRUE(daemon.slo_budget().exhausted(0.0));
+  d = daemon.decide(request("budget"), 0.0, 0.0);
+  EXPECT_EQ(d.mode, "fastpath");
+  ++expected.budget;
+  EXPECT_TRUE(same_counts(daemon.ladder_counts(), expected));
 }
 
 TEST(ServeDaemon, ExternalStopDrainsQueuedWorkAndSaysBye) {

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "serve/json.hpp"
+#include "support/json.hpp"
 #include "support/parse_error.hpp"
 
 namespace tvnep::serve {
@@ -61,6 +61,44 @@ TEST(ServeJson, NestingIsCappedAtTheDepthLimit) {
   std::string mixed;
   for (int i = 0; i < kMaxJsonDepth; ++i) mixed += "{\"k\":[";
   EXPECT_THROW(parse_json(mixed, "t"), ParseError);
+}
+
+// Every located accessor throws a ParseError at the caller's source:line
+// for a missing key and for a member of the wrong type.
+TEST(ServeJson, MemberAccessorsLocateMissingAndMistypedKeys) {
+  const JsonValue v = parse_json(
+      R"({"n":1.5,"u":7,"s":"x","b":true,"a":[1],"o":{}})", "t");
+  const auto expect_located = [](const auto& call, const char* what) {
+    try {
+      call();
+      ADD_FAILURE() << what << " did not throw";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.source(), "rec.jsonl") << what;
+      EXPECT_EQ(e.line(), 42) << what;
+    }
+  };
+  // A string member stands in for the wrong type of every accessor but
+  // string_member, which gets a number.
+  for (const char* key : {"missing", "s"}) {
+    expect_located([&] { number_member(v, key, "rec.jsonl", 42); }, key);
+    expect_located([&] { uint_member(v, key, "rec.jsonl", 42); }, key);
+    expect_located([&] { bool_member(v, key, "rec.jsonl", 42); }, key);
+    expect_located([&] { array_member(v, key, "rec.jsonl", 42); }, key);
+    expect_located([&] { object_member(v, key, "rec.jsonl", 42); }, key);
+  }
+  for (const char* key : {"missing", "n"})
+    expect_located([&] { string_member(v, key, "rec.jsonl", 42); }, key);
+  expect_located([&] { member(v, "missing", "rec.jsonl", 42); }, "member");
+  // uint_member also rejects a number that is no whole nonnegative count.
+  expect_located([&] { uint_member(v, "n", "rec.jsonl", 42); }, "fraction");
+
+  EXPECT_DOUBLE_EQ(number_member(v, "n", "t", 1), 1.5);
+  EXPECT_EQ(uint_member(v, "u", "t", 1), 7u);
+  EXPECT_EQ(string_member(v, "s", "t", 1), "x");
+  EXPECT_TRUE(bool_member(v, "b", "t", 1));
+  EXPECT_EQ(array_member(v, "a", "t", 1).size(), 1u);
+  EXPECT_TRUE(object_member(v, "o", "t", 1).empty());
+  EXPECT_TRUE(member(v, "b", "t", 1).is_bool());
 }
 
 TEST(ServeProtocol, DeeplyNestedMessageIsAParseErrorNotACrash) {

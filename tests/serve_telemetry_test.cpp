@@ -23,8 +23,8 @@
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "serve/daemon.hpp"
-#include "serve/json.hpp"
 #include "serve/metrics_server.hpp"
+#include "support/json.hpp"
 #include "workload/trace.hpp"
 
 namespace tvnep::serve {

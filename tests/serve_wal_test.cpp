@@ -26,8 +26,8 @@
 
 #include "net/topology.hpp"
 #include "serve/admission.hpp"
-#include "serve/json.hpp"
 #include "serve/net_util.hpp"
+#include "support/json.hpp"
 #include "support/parse_error.hpp"
 #include "temp_dir.hpp"
 #include "workload/generator.hpp"
