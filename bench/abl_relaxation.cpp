@@ -2,13 +2,11 @@
 // III-C argument for the Σ-Model). Solves only the root relaxation of each
 // model and reports the root bound relative to the best known integral
 // objective — the Δ-Model's bound is far looser, which is exactly why its
-// branch-and-bound trees explode.
-#include <cmath>
+// branch-and-bound trees explode. The reference optimum comes from one
+// full cΣ sweep shared by all three models.
 #include <iostream>
-#include <limits>
 
 #include "fig_common.hpp"
-#include "obs/metrics.hpp"
 
 using namespace tvnep;
 
@@ -21,72 +19,40 @@ int main(int argc, char** argv) {
                               {0.0, 1.0, 2.0, 3.0},
                               /*respect_paper_scale=*/false);
   bench::attach_resilience(args, config, "abl_relaxation");
+  const auto announce = bench::progress_announcer(args);
   args.reject_unused_flags();
   bench::announce_threads(config);
 
-  const double kSkipped = std::numeric_limits<double>::quiet_NaN();
+  // Reference integral optimum from the strongest model.
+  std::cerr << "reference " << core::to_string(core::ModelKind::kCSigma)
+            << "...\n";
+  const auto reference =
+      eval::run_model_sweep(config, core::ModelKind::kCSigma, announce);
 
   for (const core::ModelKind kind :
        {core::ModelKind::kDelta, core::ModelKind::kSigma,
         core::ModelKind::kCSigma}) {
-    // Per-cell slots (NaN = no usable reference optimum); compacted in
-    // deterministic grid order below.
-    std::vector<std::vector<double>> cell_ratios(
-        config.flexibilities.size(),
-        std::vector<double>(static_cast<std::size_t>(config.seeds), kSkipped));
-    eval::for_each_cell(config, [&](std::size_t f, int seed, std::size_t) {
-      // Journal-backed resume (bespoke cells get checkpointing but not the
-      // watchdog/retry ladder of the run_*_sweep harnesses). NaN ratios
-      // (no usable reference) round-trip via the journal's nan sentinel.
-      const eval::CellKey key{core::to_string(kind), static_cast<int>(f),
-                              seed};
-      if (config.journal) {
-        if (const eval::CellRecord* rec = config.journal->find(key)) {
-          cell_ratios[f][static_cast<std::size_t>(seed)] =
-              rec->number("ratio", kSkipped);
-          obs::counter_add("sweep.resumed_cells");
-          return;
-        }
-      }
-      workload::WorkloadParams params = config.base;
-      params.seed = static_cast<std::uint64_t>(seed) + 1;
-      const net::TvnepInstance instance =
-          workload::generate_workload_with_flexibility(
-              params, config.flexibilities[f]);
+    // Root relaxation bound of this model: the tree stops after node 1.
+    eval::SweepConfig root = config;
+    root.cell_label = std::string("root-") + core::to_string(kind);
+    root.solve_override = [](const net::TvnepInstance& instance,
+                             core::ModelKind model,
+                             const core::SolveParams& params) {
+      core::SolveParams root_params = params;
+      root_params.max_nodes = 1;
+      return core::solve(instance, model, root_params);
+    };
+    std::cerr << root.cell_label << "...\n";
+    const auto bounds = eval::run_model_sweep(root, kind, announce);
 
-      // Root relaxation bound of this model.
-      core::SolveParams root;
-      root.build = config.build;
-      root.max_nodes = 1;
-      root.time_limit_seconds = config.time_limit;
-      root.mip.presolve = config.presolve;
-      const auto root_result = core::solve(instance, kind, root);
-
-      // Reference integral optimum from the strongest model.
-      core::SolveParams full;
-      full.build = config.build;
-      full.time_limit_seconds = config.time_limit;
-      full.mip.presolve = config.presolve;
-      const auto reference =
-          core::solve(instance, core::ModelKind::kCSigma, full);
-
-      double ratio = kSkipped;
-      if (reference.has_solution && reference.objective > 1e-9) {
-        ratio = root_result.best_bound / reference.objective;
-        cell_ratios[f][static_cast<std::size_t>(seed)] = ratio;
-      }
-      if (config.journal) {
-        eval::CellRecord rec;
-        rec.key = key;
-        rec.fields["kind"] = eval::JournalValue("abl_relaxation");
-        rec.fields["ratio"] = eval::JournalValue(ratio);
-        config.journal->append(rec);
-      }
-    });
+    // Cells without a usable reference optimum are dropped.
     std::vector<std::vector<double>> ratios(config.flexibilities.size());
-    for (std::size_t f = 0; f < config.flexibilities.size(); ++f)
-      for (const double v : cell_ratios[f])
-        if (!std::isnan(v)) ratios[f].push_back(v);
+    for (std::size_t cell = 0; cell < bounds.size(); ++cell) {
+      const core::TvnepSolveResult& ref = reference[cell].result;
+      if (!ref.has_solution || ref.objective <= 1e-9) continue;
+      ratios[cell / static_cast<std::size_t>(config.seeds)].push_back(
+          bounds[cell].result.best_bound / ref.objective);
+    }
     bench::print_series(
         std::string("Relaxation strength — root bound / integral optimum, ") +
             core::to_string(kind) + " (1.0 = tight)",

@@ -22,9 +22,8 @@
 
 namespace tvnep::bench {
 
-/// `--quiet`: suppress per-cell progress output (the sweep announce lines
-/// and the bespoke per-cell logs of fig5/6/7). Summary tables and CSVs are
-/// unaffected.
+/// `--quiet`: suppress the sweeps' per-cell progress lines. Summary tables
+/// and CSVs are unaffected.
 inline bool quiet(const eval::Args& args) {
   return args.get_bool("quiet", false);
 }
@@ -82,7 +81,7 @@ inline void apply_quick_defaults(const eval::Args& args,
 /// Must run AFTER apply_quick_defaults/flag overrides so the journal
 /// fingerprint covers the final sweep configuration — resuming under
 /// different flags is refused with a structured error. `bench_id` keys the
-/// fingerprint so a fig4 journal cannot be resumed into fig3.
+/// fingerprint so one experiment's journal cannot be resumed into another.
 inline void attach_resilience(const eval::Args& args,
                               eval::SweepConfig& config,
                               const std::string& bench_id) {
@@ -105,14 +104,6 @@ inline void attach_resilience(const eval::Args& args,
     std::cerr << "resume: " << config.journal->loaded()
               << " journaled cells will be reconstituted from "
               << config.journal->path() << '\n';
-}
-
-/// Serializes progress lines written from parallel sweep cells. The sweep
-/// runner already serializes its own announce callback; benches that log
-/// from inside eval::for_each_cell bodies must lock this themselves.
-inline std::mutex& log_mutex() {
-  static std::mutex m;
-  return m;
 }
 
 /// Announces the sweep fan-out once at the start of a bench run.
@@ -152,23 +143,6 @@ inline double capped_gap(const core::TvnepSolveResult& result,
   return g;
 }
 
-/// Restricts an instance to a subset of its requests (keeping substrate,
-/// horizon and fixed mappings). The fixed-set objectives (earliness, load
-/// balancing, link disabling) require every remaining request to be
-/// embeddable; the benches use the greedy's accepted set for that, mirroring
-/// how an operator would schedule an admitted batch.
-inline net::TvnepInstance restrict_to(const net::TvnepInstance& instance,
-                                      const std::vector<int>& keep) {
-  net::TvnepInstance out(instance.substrate(), instance.horizon());
-  for (const int r : keep) {
-    if (instance.has_fixed_mapping(r))
-      out.add_request(instance.request(r), instance.fixed_mapping(r));
-    else
-      out.add_request(instance.request(r));
-  }
-  return out;
-}
-
 /// Renders a sweep progress prefix: "[completed/total eta 42s]"; the ETA
 /// extrapolates from the mean wall clock of the cells solved this run
 /// (resumed cells are excluded from the rate) and is omitted once the
@@ -194,6 +168,15 @@ inline std::string progress_prefix(const eval::SweepProgress& progress) {
   return out;
 }
 
+/// The resilience markers that end a progress line.
+template <typename Outcome>
+void announce_trail(const Outcome& outcome) {
+  if (outcome.resumed) std::cerr << " RESUMED";
+  if (outcome.timed_out) std::cerr << " TIMED-OUT";
+  if (outcome.abandoned) std::cerr << " ABANDONED";
+  if (outcome.failed) std::cerr << " FAILED(" << outcome.error << ")";
+}
+
 inline void announce_progress(const eval::ScenarioOutcome& outcome,
                               const eval::SweepProgress& progress) {
   std::cerr << "  " << progress_prefix(progress)
@@ -206,30 +189,41 @@ inline void announce_progress(const eval::ScenarioOutcome& outcome,
             << " pivots=" << outcome.result.lp_pivots
             << " pre=-" << outcome.result.presolve_rows_removed << "r/-"
             << outcome.result.presolve_cols_removed << "c";
-  if (outcome.resumed) std::cerr << " RESUMED";
-  if (outcome.retries > 0) std::cerr << " retries=" << outcome.retries;
-  if (outcome.timed_out) std::cerr << " TIMED-OUT";
-  if (outcome.abandoned) std::cerr << " ABANDONED";
-  if (outcome.failed) std::cerr << " FAILED(" << outcome.error << ")";
+  announce_trail(outcome);
   if (!outcome.failure_reason.empty())
     std::cerr << " DEGRADED(" << outcome.failure_reason << ")";
   std::cerr << '\n';
 }
 
-/// The per-cell announce callback a model sweep should use: the standard
-/// progress line, or none at all under `--quiet`.
-inline std::function<void(const eval::ScenarioOutcome&,
-                          const eval::SweepProgress&)>
+inline void announce_progress(const eval::GreedyOutcome& outcome,
+                              const eval::SweepProgress& progress) {
+  std::cerr << "  " << progress_prefix(progress)
+            << " flex=" << outcome.flexibility << " seed=" << outcome.seed
+            << " greedy accepted=" << outcome.result.accepted
+            << " revenue=" << outcome.revenue
+            << " t=" << outcome.result.total_seconds << "s"
+            << " wall=" << outcome.wall_seconds << "s";
+  announce_trail(outcome);
+  std::cerr << '\n';
+}
+
+/// The per-cell announce callback a sweep over `Outcome` cells
+/// (eval::ScenarioOutcome or eval::GreedyOutcome) should use: the
+/// standard progress line, or none at all under `--quiet`.
+template <typename Outcome = eval::ScenarioOutcome>
+std::function<void(const Outcome&, const eval::SweepProgress&)>
 progress_announcer(const eval::Args& args) {
   if (quiet(args)) return nullptr;
-  return announce_progress;
+  return [](const Outcome& outcome, const eval::SweepProgress& progress) {
+    announce_progress(outcome, progress);
+  };
 }
 
 /// Writes one row per sweep cell with the full solver + presolve telemetry
-/// plus the resilience trail (accepted/retries/timed_out/abandoned/
-/// resumed) — the per-cell companion of print_series' per-flexibility
-/// summaries. Appends when `append` so multi-model benches can collect
-/// every model's cells in one file. The whole file is rewritten atomically
+/// plus the resilience trail (accepted/timed_out/abandoned/resumed) — the
+/// per-cell companion of print_series' per-flexibility summaries. Appends
+/// when `append` so multi-model benches can collect every model's cells in
+/// one file. The whole file is rewritten atomically
 /// (temp file + rename) on every call from a process-local accumulator, so
 /// a crash mid-export never leaves a half-written or stale-mixed CSV.
 inline void save_outcomes_csv(const std::string& path,
@@ -258,7 +252,7 @@ inline void save_outcomes_csv(const std::string& path,
        << r.presolve_cols_removed << ',' << r.presolve_coeffs_tightened << ','
        << r.presolve_bounds_tightened << ',' << (r.presolve_infeasible ? 1 : 0)
        << ',' << r.presolve_seconds << ',' << r.accepted_requests << ','
-       << o.retries << ',' << (o.timed_out ? 1 : 0) << ','
+       << (o.timed_out ? 1 : 0) << ','
        << (o.abandoned ? 1 : 0) << ',' << (o.resumed ? 1 : 0) << '\n';
   }
   body += os.str();
@@ -272,7 +266,7 @@ inline void save_outcomes_csv(const std::string& path,
          "model_vars,model_constraints,model_integer_vars,"
          "presolve_rows_removed,presolve_cols_removed,"
          "presolve_coeffs_tightened,presolve_bounds_tightened,"
-         "presolve_infeasible,presolve_seconds,accepted,retries,timed_out,"
+         "presolve_infeasible,presolve_seconds,accepted,timed_out,"
          "abandoned,resumed\n"
       << body;
   if (!file.commit()) std::cerr << "warning: cannot write " << path << '\n';

@@ -16,11 +16,11 @@ cmake --build build -j "$jobs"
 # The resilience suites once more in isolation: `faultinject` labels the
 # tests that drive the LP recovery ladder and the B&B degradation paths
 # through SimplexOptions::fault_hook, plus the sweep-level crash-safety
-# suites (checkpoint journal resume, watchdog soft-cancel, retry ladder).
+# suites (checkpoint journal resume, watchdog soft-cancel).
 (cd build && ctest --output-on-failure -j "$jobs" -L faultinject)
 
 cmake -B build-tsan -S . -DTVNEP_SANITIZE=thread
 cmake --build build-tsan -j "$jobs"
 (cd build-tsan && TSAN_OPTIONS=halt_on_error=1 \
    ctest --output-on-failure -j "$jobs" \
-   -R 'ParallelFor|HardwareParallelism|ForEachCell|RunModelSweep|RunGreedySweep|ObsConcurrent|WatchdogTest|RetryLadder|CheckpointTest|SimplexCertificate|ServeDaemon|ServeReopt|ServeAdmission|ServeSlo|ServeTelemetry|ServeWal|ServeRecovery|ObsLog|ObsExposition')
+   -R 'ParallelFor|HardwareParallelism|RunModelSweep|RunGreedySweep|ObsConcurrent|WatchdogTest|CheckpointTest|SimplexCertificate|ServeDaemon|ServeReopt|ServeAdmission|ServeSlo|ServeTelemetry|ServeWal|ServeRecovery|ObsLog|ObsExposition')

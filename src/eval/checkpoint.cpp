@@ -177,7 +177,9 @@ std::uint64_t sweep_fingerprint(const SweepConfig& config,
      << config.build.pairwise_cuts << config.build.precedence_cuts
      << ";obj=" << static_cast<int>(config.build.objective)
      << ";cell_timeout=" << config.cell_timeout
-     << ";cell_retries=" << config.cell_retries;
+     // Sweeps no longer retry cells; the constant term keeps every
+     // fingerprint, and with it every journal on disk, resumable.
+     << ";cell_retries=0";
   return fnv1a(os.str());
 }
 

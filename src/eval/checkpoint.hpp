@@ -81,8 +81,8 @@ struct CellKey {
   }
 };
 
-/// Stable hash of a cell key — the seed for deterministic per-cell retry
-/// jitter and the tie-breaker tests rely on.
+/// Stable FNV-1a hash of a cell key, pinned across versions by the
+/// checkpoint tests.
 std::uint64_t cell_key_hash(const CellKey& key);
 
 struct CellRecord {

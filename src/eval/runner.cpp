@@ -1,14 +1,12 @@
 #include "eval/runner.hpp"
 
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "eval/watchdog.hpp"
 #include "obs/metrics.hpp"
@@ -44,8 +42,7 @@ SweepConfig sweep_from_args(const Args& args, int default_requests,
   config.time_limit = args.get_double("time-limit", config.time_limit);
   config.threads = args.get_int("threads", 0);
 
-  const double flex_max =
-      args.get_double("flex-max", args.get_bool("paper-scale", false) ? 6.0 : 6.0);
+  const double flex_max = args.get_double("flex-max", 6.0);
   const double flex_step =
       args.get_double("flex-step", args.get_bool("paper-scale", false) ? 0.5 : 1.0);
   TVNEP_REQUIRE(flex_step > 0.0, "flex-step must be positive");
@@ -65,9 +62,6 @@ SweepConfig sweep_from_args(const Args& args, int default_requests,
                      config.lp_fault_burst < config.lp_fault_period),
                 "--lp-fault-burst must be in [1, lp-fault-period)");
   config.cell_timeout = args.get_double("cell-timeout", 0.0);
-  config.cell_retries = args.get_int("cell-retries", 0);
-  TVNEP_REQUIRE(config.cell_retries >= 0,
-                "--cell-retries must be non-negative");
   config.build.dependency_cuts = !args.get_bool("no-dependency-cuts", false);
   config.build.pairwise_cuts = !args.get_bool("no-pairwise-cuts", false);
   config.build.precedence_cuts = !args.get_bool("no-precedence-cuts", false);
@@ -77,20 +71,6 @@ SweepConfig sweep_from_args(const Args& args, int default_requests,
 int effective_threads(const SweepConfig& config) {
   if (config.threads > 0) return config.threads;
   return static_cast<int>(hardware_parallelism());
-}
-
-void for_each_cell(
-    const SweepConfig& config,
-    const std::function<void(std::size_t, int, std::size_t)>& body) {
-  TVNEP_REQUIRE(config.seeds >= 0, "seeds must be non-negative");
-  const std::size_t seeds = static_cast<std::size_t>(config.seeds);
-  const std::size_t cells = config.flexibilities.size() * seeds;
-  parallel_for(
-      cells,
-      [&](std::size_t cell) {
-        body(cell / seeds, static_cast<int>(cell % seeds), cell);
-      },
-      static_cast<std::size_t>(effective_threads(config)));
 }
 
 namespace {
@@ -109,17 +89,17 @@ mip::MipStatus status_from_string(const std::string& name,
   return mip::MipStatus::kNumericalFailure;
 }
 
+// Journals written while sweeps still retried cells also carry a
+// "retries" field; decoding ignores it.
 void encode_resilience_fields(const char* which, double flexibility,
                               double wall_seconds, bool failed,
-                              const std::string& error, int retries,
-                              bool timed_out, bool abandoned,
-                              CellRecord& record) {
+                              const std::string& error, bool timed_out,
+                              bool abandoned, CellRecord& record) {
   record.fields["kind"] = JournalValue(which);
   record.fields["flexibility"] = JournalValue(flexibility);
   record.fields["wall_seconds"] = JournalValue(wall_seconds);
   record.fields["failed"] = JournalValue(failed);
   if (!error.empty()) record.fields["error"] = JournalValue(error);
-  record.fields["retries"] = JournalValue(static_cast<double>(retries));
   record.fields["timed_out"] = JournalValue(timed_out);
   record.fields["abandoned"] = JournalValue(abandoned);
 }
@@ -127,42 +107,79 @@ void encode_resilience_fields(const char* which, double flexibility,
 // Pre-rendered JSON args for a cell's trace span; built only when the
 // tracer is active.
 std::string cell_span_args(const std::string& label, double flexibility,
-                           int seed, int attempt) {
+                           int seed) {
   return "\"model\":\"" + obs::json_escape(label) +
          "\",\"flex\":" + obs::json_number(flexibility) +
-         ",\"seed\":" + std::to_string(seed) +
-         ",\"attempt\":" + std::to_string(attempt);
+         ",\"seed\":" + std::to_string(seed);
 }
 
-// Shared per-cell harness: fills identity/timing, runs `solve` with
-// failure isolation under a per-cell trace span, then hands the finished
-// outcome plus sweep-wide progress to the serialized announce callback.
-// Outcome slots are pre-sized by the caller so each worker touches only
-// its own cell. `label` tags the cell spans, tree-log records and journal
-// keys with the model being swept.
+// The one mapping from the sweep's solver flags to MipOptions, used by
+// every cell solve: model cells, the greedy's inner MIPs and whatever a
+// solve_override runs. Covers presolve, the root cut loop, reduced-cost
+// fixing, LP scaling, the watchdog's cancel flag, the tree-log context
+// ("model=csigma flex=1.5 seed=2", only built when `--tree-log` installed
+// a global log) and, with `--lp-fault-period`, a deterministic per-cell
+// fault hook. The hook owns its own consultation counter, so every cell
+// sees the same fault pattern regardless of worker interleaving: out of
+// every `period` consultations the first `burst` report a failure.
+mip::MipOptions cell_mip_options(const SweepConfig& config,
+                                 const std::string& label, double flexibility,
+                                 int seed, const std::atomic<bool>* cancel) {
+  mip::MipOptions mip;
+  mip.presolve = config.presolve;
+  if (!config.mip_cuts) mip.cut_rounds = 0;
+  mip.rc_fixing = config.rc_fixing;
+  mip.lp.scaling = config.lp_scaling;
+  mip.cancel = cancel;
+  if (config.lp_fault_period > 0) {
+    auto counter = std::make_shared<long>(0);
+    const long period = config.lp_fault_period;
+    const long burst = config.lp_fault_burst;
+    mip.lp.fault_hook = [counter, period, burst](long) {
+      return ((*counter)++ % period) < burst;
+    };
+  }
+  if (obs::TreeLog::global() != nullptr) {
+    char flex[32];
+    std::snprintf(flex, sizeof(flex), "%g", flexibility);
+    mip.tree_log_context = "model=" + label + " flex=" + flex +
+                           " seed=" + std::to_string(seed);
+  }
+  return mip;
+}
+
+// Shared per-cell harness, the only place sweep cells are enumerated:
+// fills identity/timing, generates the cell's workload and runs
+// `solve(instance, outcome, mip_options)` with failure isolation under a
+// per-cell trace span, then hands the finished outcome plus sweep-wide
+// progress to the serialized announce callback. The grid is enumerated
+// flexibility-major (cell = flex_index * seeds + seed) into pre-sized
+// outcome slots, so each worker touches only its own cell. `label` tags
+// the cell spans, tree-log records and journal keys.
 //
 // With config.journal set, cells found in the journal are reconstituted
 // via decode_outcome and skipped; every solved cell is durably appended
 // before the sweep counts it complete. With config.cell_timeout set, each
-// attempt runs under a watchdog guard whose cancel flag `solve` forwards
-// into the solver; transient failures (`transient(outcome)`) retry up to
-// config.cell_retries times with deterministic exponential backoff.
-template <typename Outcome, typename Solve, typename Transient>
+// cell runs under a watchdog guard whose cancel flag reaches the solver
+// through the MipOptions handed to `solve`.
+template <typename Outcome, typename Solve>
 std::vector<Outcome> run_cells(
     const SweepConfig& config, const char* default_label, Solve&& solve,
-    Transient&& transient,
     const std::function<void(const Outcome&, const SweepProgress&)>&
         announce) {
+  TVNEP_REQUIRE(config.seeds >= 0, "seeds must be non-negative");
   const std::string label =
       config.cell_label.empty() ? default_label : config.cell_label;
-  std::vector<Outcome> outcomes(config.flexibilities.size() *
-                                static_cast<std::size_t>(config.seeds));
+  const std::size_t seeds = static_cast<std::size_t>(config.seeds);
+  std::vector<Outcome> outcomes(config.flexibilities.size() * seeds);
   Stopwatch sweep_watch;
   std::mutex announce_mutex;
   std::size_t completed = 0;
   std::size_t resumed = 0;
   Watchdog watchdog(config.cell_timeout);
-  for_each_cell(config, [&](std::size_t f, int seed, std::size_t cell) {
+  const auto run_cell = [&](std::size_t cell) {
+    const std::size_t f = cell / seeds;
+    const int seed = static_cast<int>(cell % seeds);
     Stopwatch cell_watch;
     Outcome& outcome = outcomes[cell];
     outcome.flexibility = config.flexibilities[f];
@@ -177,48 +194,33 @@ std::vector<Outcome> run_cells(
       outcome.resumed = true;
       obs::counter_add("sweep.resumed_cells");
     } else {
-      int attempt = 0;
-      for (;;) {
-        if (attempt > 0) {
-          // Retry: wipe the previous attempt's result but keep identity.
-          outcome = Outcome{};
-          outcome.flexibility = config.flexibilities[f];
-          outcome.seed = seed;
-          obs::counter_add("sweep.retries");
+      Watchdog::CellGuard guard = watchdog.watch(
+          label + "/" + std::to_string(f) + "/" + std::to_string(seed));
+      {
+        obs::SpanScope cell_span(
+            obs::Tracer::active(), "sweep.cell", "sweep",
+            obs::Tracer::active()
+                ? cell_span_args(label, outcome.flexibility, seed)
+                : std::string());
+        try {
+          workload::WorkloadParams params = config.base;
+          params.seed = static_cast<std::uint64_t>(seed) + 1;
+          const net::TvnepInstance instance =
+              workload::generate_workload_with_flexibility(
+                  params, outcome.flexibility);
+          solve(instance, outcome,
+                cell_mip_options(config, label, outcome.flexibility, seed,
+                                 guard.cancel_flag()));
+        } catch (const std::exception& e) {
+          outcome.failed = true;
+          outcome.error = e.what();
+        } catch (...) {
+          outcome.failed = true;
+          outcome.error = "unknown exception";
         }
-        Watchdog::CellGuard guard = watchdog.watch(
-            label + "/" + std::to_string(f) + "/" + std::to_string(seed));
-        {
-          obs::SpanScope cell_span(
-              obs::Tracer::active(), "sweep.cell", "sweep",
-              obs::Tracer::active()
-                  ? cell_span_args(label, outcome.flexibility, seed, attempt)
-                  : std::string());
-          try {
-            workload::WorkloadParams params = config.base;
-            params.seed = static_cast<std::uint64_t>(seed) + 1;
-            const net::TvnepInstance instance =
-                workload::generate_workload_with_flexibility(
-                    params, outcome.flexibility);
-            solve(instance, outcome, attempt, guard.cancel_flag());
-          } catch (const std::exception& e) {
-            outcome.failed = true;
-            outcome.error = e.what();
-          } catch (...) {
-            outcome.failed = true;
-            outcome.error = "unknown exception";
-          }
-        }
-        outcome.timed_out = guard.timed_out();
-        outcome.abandoned = guard.abandoned();
-        if (attempt >= config.cell_retries || !transient(outcome)) break;
-        ++attempt;
-        const double wait = retry_backoff_seconds(
-            config.retry_backoff, cell_key_hash(key), attempt);
-        if (wait > 0.0)
-          std::this_thread::sleep_for(std::chrono::duration<double>(wait));
       }
-      outcome.retries = attempt;
+      outcome.timed_out = guard.timed_out();
+      outcome.abandoned = guard.abandoned();
       outcome.wall_seconds = cell_watch.seconds();
       if (config.journal)
         config.journal->append(encode_outcome(label, f, outcome));
@@ -250,40 +252,10 @@ std::vector<Outcome> run_cells(
       }
       announce(outcome, progress);
     }
-  });
-  return outcomes;
-}
-
-// Context tag for tree-log records written by this cell's solves, e.g.
-// "model=cSigma flex=1.5 seed=2". Only built when a global tree log is
-// installed (`--tree-log`); explicit MipOptions::tree_log users set their
-// own context.
-std::string cell_tree_log_context(const char* label, double flexibility,
-                                  int seed) {
-  char flex[32];
-  std::snprintf(flex, sizeof(flex), "%g", flexibility);
-  return std::string("model=") + label + " flex=" + flex +
-         " seed=" + std::to_string(seed);
-}
-
-// Applies the sweep's LP-resilience knobs to a solver's SimplexOptions:
-// scaling on/off plus, when `--lp-fault-period` is set, a deterministic
-// per-cell fault hook. The hook owns its own consultation counter, so
-// every cell sees the same fault pattern regardless of worker
-// interleaving: out of every `period` consultations the first `burst`
-// report a failure. Retry attempts double the period per attempt (halving
-// the injected fault rate) — the ladder's "perturbed config" rung.
-void apply_lp_resilience(const SweepConfig& config, lp::SimplexOptions& lp,
-                         int attempt) {
-  lp.scaling = config.lp_scaling;
-  if (config.lp_fault_period <= 0) return;
-  auto counter = std::make_shared<long>(0);
-  long period = config.lp_fault_period;
-  for (int i = 0; i < attempt && period < (1L << 40); ++i) period *= 2;
-  const long burst = config.lp_fault_burst;
-  lp.fault_hook = [counter, period, burst](long) {
-    return ((*counter)++ % period) < burst;
   };
+  parallel_for(outcomes.size(), run_cell,
+               static_cast<std::size_t>(effective_threads(config)));
+  return outcomes;
 }
 
 }  // namespace
@@ -298,8 +270,8 @@ CellRecord encode_outcome(const std::string& label, std::size_t flex_index,
   auto& fields = record.fields;
   encode_resilience_fields("model", outcome.flexibility,
                            outcome.wall_seconds, outcome.failed,
-                           outcome.error, outcome.retries, outcome.timed_out,
-                           outcome.abandoned, record);
+                           outcome.error, outcome.timed_out, outcome.abandoned,
+                           record);
   if (!outcome.failure_reason.empty())
     fields["failure_reason"] = JournalValue(outcome.failure_reason);
   fields["status"] = JournalValue(mip::to_string(r.status));
@@ -357,7 +329,6 @@ bool decode_outcome(const CellRecord& record, ScenarioOutcome& outcome) {
   outcome.failed = record.boolean("failed");
   outcome.error = record.text("error");
   outcome.failure_reason = record.text("failure_reason");
-  outcome.retries = static_cast<int>(record.number("retries"));
   outcome.timed_out = record.boolean("timed_out");
   outcome.abandoned = record.boolean("abandoned");
   core::TvnepSolveResult& r = outcome.result;
@@ -409,11 +380,12 @@ CellRecord encode_outcome(const std::string& label, std::size_t flex_index,
   record.key.seed = outcome.seed;
   encode_resilience_fields("greedy", outcome.flexibility,
                            outcome.wall_seconds, outcome.failed,
-                           outcome.error, outcome.retries, outcome.timed_out,
-                           outcome.abandoned, record);
+                           outcome.error, outcome.timed_out, outcome.abandoned,
+                           record);
   auto& fields = record.fields;
   fields["accepted"] =
       JournalValue(static_cast<double>(outcome.result.accepted));
+  fields["revenue"] = JournalValue(outcome.revenue);
   fields["complete"] = JournalValue(outcome.result.complete);
   fields["total_seconds"] = JournalValue(outcome.result.total_seconds);
   // The per-iteration trajectory, flattened to one space-separated string
@@ -429,16 +401,17 @@ CellRecord encode_outcome(const std::string& label, std::size_t flex_index,
 }
 
 bool decode_outcome(const CellRecord& record, GreedyOutcome& outcome) {
-  if (record.text("kind") != "greedy" || !record.has("accepted"))
+  if (record.text("kind") != "greedy" || !record.has("accepted") ||
+      !record.has("revenue"))
     return false;
   outcome.seed = record.key.seed;
   outcome.flexibility = record.number("flexibility");
   outcome.wall_seconds = record.number("wall_seconds");
   outcome.failed = record.boolean("failed");
   outcome.error = record.text("error");
-  outcome.retries = static_cast<int>(record.number("retries"));
   outcome.timed_out = record.boolean("timed_out");
   outcome.abandoned = record.boolean("abandoned");
+  outcome.revenue = record.number("revenue");
   outcome.result.accepted = static_cast<int>(record.number("accepted"));
   outcome.result.complete = record.boolean("complete");
   outcome.result.total_seconds = record.number("total_seconds");
@@ -466,20 +439,11 @@ std::vector<ScenarioOutcome> run_model_sweep(
   return run_cells<ScenarioOutcome>(
       config, core::to_string(kind),
       [&](const net::TvnepInstance& instance, ScenarioOutcome& outcome,
-          int attempt, const std::atomic<bool>* cancel) {
+          mip::MipOptions mip) {
         core::SolveParams solve_params;
         solve_params.build = config.build;
         solve_params.time_limit_seconds = config.time_limit;
-        // Retry-ladder tightening: the final rung drops presolve so a
-        // transform-triggered numerical issue cannot recur.
-        solve_params.mip.presolve = config.presolve && attempt < 2;
-        if (!config.mip_cuts) solve_params.mip.cut_rounds = 0;
-        solve_params.mip.rc_fixing = config.rc_fixing;
-        solve_params.mip.cancel = cancel;
-        apply_lp_resilience(config, solve_params.mip.lp, attempt);
-        if (obs::TreeLog::global() != nullptr)
-          solve_params.mip.tree_log_context = cell_tree_log_context(
-              core::to_string(kind), outcome.flexibility, outcome.seed);
+        solve_params.mip = std::move(mip);
         outcome.result =
             config.solve_override
                 ? config.solve_override(instance, kind, solve_params)
@@ -499,14 +463,6 @@ std::vector<ScenarioOutcome> run_model_sweep(
           obs::counter_add("sweep.degraded_cells");
         }
       },
-      [](const ScenarioOutcome& outcome) {
-        // Transient = worth a retry: hard failure, watchdog timeout, or a
-        // degraded anytime result. Clean statuses (optimal/infeasible/
-        // time-limit from the solver's own budget) are final.
-        return outcome.failed || outcome.timed_out ||
-               outcome.result.status == mip::MipStatus::kNumericalLimit ||
-               outcome.result.numerical_drops > 0;
-      },
       announce);
 }
 
@@ -517,21 +473,12 @@ std::vector<GreedyOutcome> run_greedy_sweep(
   return run_cells<GreedyOutcome>(
       config, "greedy",
       [&](const net::TvnepInstance& instance, GreedyOutcome& outcome,
-          int attempt, const std::atomic<bool>* cancel) {
+          mip::MipOptions mip) {
         greedy::GreedyOptions options;
         options.per_iteration_time_limit = config.time_limit;
-        options.mip.presolve = config.presolve && attempt < 2;
-        if (!config.mip_cuts) options.mip.cut_rounds = 0;
-        options.mip.rc_fixing = config.rc_fixing;
-        options.mip.cancel = cancel;
-        apply_lp_resilience(config, options.mip.lp, attempt);
-        if (obs::TreeLog::global() != nullptr)
-          options.mip.tree_log_context = cell_tree_log_context(
-              "greedy", outcome.flexibility, outcome.seed);
+        options.mip = std::move(mip);
         outcome.result = greedy::solve_greedy(instance, options);
-      },
-      [](const GreedyOutcome& outcome) {
-        return outcome.failed || outcome.timed_out;
+        outcome.revenue = outcome.result.solution.revenue(instance);
       },
       announce);
 }

@@ -20,10 +20,13 @@
 // (`outcome.resumed`). Per-cell resilience (eval/watchdog.hpp): with
 // `cell_timeout` set a watchdog thread soft-cancels cells that exceed it
 // (the solver returns its anytime incumbent) and records cells ignoring
-// the cancel for another full timeout as abandoned; `cell_retries` bounds
-// a retry ladder that re-runs transient failures (numerical, fault-
-// injected, timed-out) with exponential backoff and a per-attempt
-// tightened config.
+// the cancel for another full timeout as abandoned.
+//
+// Every figure and ablation bench runs its cells through run_model_sweep
+// or run_greedy_sweep; per-cell work beyond one model solve (the greedy
+// admission before the objectives experiment, a root-only solve) hooks in
+// through SweepConfig::solve_override, so the journal, watchdog, failure
+// isolation, cell spans and the solver flags apply to every cell alike.
 #pragma once
 
 #include <atomic>
@@ -49,7 +52,8 @@ struct SweepConfig {
   bool presolve = true;                 // MIP presolve (`--no-presolve`)
   // Root cutting-plane loop (`--no-cuts` zeroes MipOptions::cut_rounds)
   // and reduced-cost fixing (`--no-rc-fixing`). CI's cut-equivalence leg
-  // runs fig3 with and without cuts and diffs the objective/gap columns.
+  // runs the models experiment with and without cuts and diffs the
+  // objective/gap columns.
   bool mip_cuts = true;
   bool rc_fixing = true;
   bool lp_scaling = true;               // LP equilibration (`--no-lp-scaling`)
@@ -64,13 +68,8 @@ struct SweepConfig {
   // drive the sweep into the anytime/drop paths.
   int lp_fault_period = 0;
   int lp_fault_burst = 1;
-  // Per-cell resilience (`--cell-timeout SEC`, `--cell-retries N`).
-  // cell_timeout <= 0 disables the watchdog; cell_retries 0 disables the
-  // retry ladder. retry_backoff is the ladder's base wait — attempt k
-  // waits base * 2^(k-1) scaled by deterministic per-cell jitter.
+  // Per-cell watchdog (`--cell-timeout SEC`); <= 0 disables it.
   double cell_timeout = 0.0;
-  int cell_retries = 0;
-  double retry_backoff = 0.1;
   // Checkpoint journal (`--checkpoint PATH` / `--resume PATH`). When set,
   // completed cells are durably journaled and journaled cells are skipped.
   std::shared_ptr<SweepJournal> journal;
@@ -81,8 +80,12 @@ struct SweepConfig {
   std::string cell_label;
   core::BuildOptions build;
 
-  /// Replaces core::solve for every cell — the seam tests use to inject
-  /// failures and alternative backends can hook into. Empty → core::solve.
+  /// Replaces core::solve for every cell of run_model_sweep — the seam
+  /// tests use to inject failures and benches use for per-cell work
+  /// beyond one solve. The params it receives already carry the sweep's
+  /// build options, time limit and solver options (presolve, cuts, rc
+  /// fixing, LP scaling, fault hook, watchdog cancel, tree-log context);
+  /// forward params.mip to every inner solve. Empty → core::solve.
   std::function<core::TvnepSolveResult(const net::TvnepInstance&,
                                        core::ModelKind,
                                        const core::SolveParams&)>
@@ -96,7 +99,7 @@ struct SweepConfig {
 ///   --no-dependency-cuts --no-pairwise-cuts --no-presolve --paper-scale
 ///   --no-cuts --no-rc-fixing
 ///   --no-lp-scaling --lp-fault-period N --lp-fault-burst B
-///   --cell-timeout SEC --cell-retries N
+///   --cell-timeout SEC
 SweepConfig sweep_from_args(const Args& args, int default_requests,
                             int default_rows, int default_cols,
                             int default_leaves);
@@ -123,9 +126,9 @@ struct ScenarioOutcome {
   int seed = 0;
   core::TvnepSolveResult result;
   /// Wall clock of the whole cell (workload generation + model build +
-  /// solve, summed over retry attempts) on its worker thread — the
-  /// throughput number for BENCH_*.json. Resumed cells restore the wall
-  /// clock of the run that originally solved them.
+  /// solve) on its worker thread — the throughput number for
+  /// BENCH_*.json. Resumed cells restore the wall clock of the run that
+  /// originally solved them.
   double wall_seconds = 0.0;
   /// The cell's solve threw or ended in MipStatus::kNumericalFailure with
   /// no usable result. Sibling cells are unaffected; `error` carries the
@@ -136,10 +139,8 @@ struct ScenarioOutcome {
   bool failed = false;
   std::string error;
   std::string failure_reason;
-  // Resilience trail: retry attempts consumed, watchdog verdicts of the
-  // final attempt, and whether this cell was reconstituted from a
-  // checkpoint journal instead of solved.
-  int retries = 0;
+  // Resilience trail: the watchdog's verdicts, and whether this cell was
+  // reconstituted from a checkpoint journal instead of solved.
   bool timed_out = false;
   bool abandoned = false;
   bool resumed = false;
@@ -162,34 +163,27 @@ struct GreedyOutcome {
   double flexibility = 0.0;
   int seed = 0;
   greedy::GreedyResult result;
+  /// Revenue of the greedy's schedule on the cell's instance. A flat
+  /// field like ScenarioOutcome's accepted_requests: it is journaled, so a
+  /// resumed cell still yields the greedy's shortfall against an exact
+  /// solve without the solution object.
+  double revenue = 0.0;
   double wall_seconds = 0.0;
   bool failed = false;
   std::string error;
   // Resilience trail (see ScenarioOutcome).
-  int retries = 0;
   bool timed_out = false;
   bool abandoned = false;
   bool resumed = false;
 };
 
 /// Runs the greedy cΣ_A^G over the same grid, with the same parallel
-/// fan-out, ordering and failure-isolation guarantees as run_model_sweep.
+/// fan-out, ordering and failure-isolation guarantees as run_model_sweep;
+/// the greedy's inner MIPs run under the sweep's solver options.
 std::vector<GreedyOutcome> run_greedy_sweep(
     const SweepConfig& config,
     const std::function<void(const GreedyOutcome&, const SweepProgress&)>&
         announce = nullptr);
-
-/// Runs body(flex_index, seed, cell_index) for every cell of the grid,
-/// fanned out over config.threads workers; cell_index enumerates the grid
-/// flexibility-major (cell = flex_index * seeds + seed). The body must
-/// only write state owned by its own cell. Benches with bespoke per-cell
-/// work (fig5/6/7, abl_relaxation) build on this directly — they get
-/// journal-backed resume by checking `config.journal` themselves (the
-/// watchdog/retry ladder applies to the run_*_sweep harnesses).
-void for_each_cell(
-    const SweepConfig& config,
-    const std::function<void(std::size_t flex_index, int seed,
-                             std::size_t cell_index)>& body);
 
 /// Collects the values of `extract(outcome)` per flexibility level, in
 /// seed order — the series the figures plot. Failed cells are included

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "support/rng.hpp"
 
 namespace tvnep::eval {
 
@@ -85,15 +84,6 @@ void Watchdog::monitor() {
       }
     }
   }
-}
-
-double retry_backoff_seconds(double base_seconds, std::uint64_t cell_hash,
-                             int attempt) {
-  if (base_seconds <= 0.0 || attempt <= 0) return 0.0;
-  double backoff = base_seconds;
-  for (int i = 1; i < attempt; ++i) backoff *= 2.0;
-  Rng rng(cell_hash ^ static_cast<std::uint64_t>(attempt));
-  return backoff * rng.uniform(1.0, 1.25);
 }
 
 }  // namespace tvnep::eval

@@ -9,15 +9,10 @@
 // watchdog cannot safely kill the thread, so it records the cell as
 // abandoned (counter + flag) and the sweep reports it instead of hanging
 // silently.
-//
-// Also home to the retry ladder's deterministic backoff: exponential in
-// the attempt number with jitter seeded from the cell-key hash, so a
-// re-run sweep waits the same intervals cell for cell.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -30,7 +25,7 @@ namespace tvnep::eval {
 
 class Watchdog {
  public:
-  /// State of one watched cell attempt. The watchdog holds a shared_ptr,
+  /// State of one watched cell. The watchdog holds a shared_ptr,
   /// so the entry outlives guard destruction while the monitor inspects
   /// it.
   struct Entry {
@@ -43,9 +38,9 @@ class Watchdog {
     bool active = true;                  // still registered (guard alive)
   };
 
-  /// RAII registration of one cell attempt. Construct before the solve,
-  /// pass `cancel_flag()` into MipOptions::cancel, destroy when the
-  /// attempt returns.
+  /// RAII registration of one cell. Construct before the solve, pass
+  /// `cancel_flag()` into MipOptions::cancel, destroy when the solve
+  /// returns.
   class CellGuard {
    public:
     CellGuard(Watchdog* watchdog, std::shared_ptr<Entry> entry)
@@ -79,11 +74,10 @@ class Watchdog {
   bool enabled() const { return timeout_seconds_ > 0.0; }
   double timeout_seconds() const { return timeout_seconds_; }
 
-  /// Registers one cell attempt under the configured timeout. Thread-safe.
+  /// Registers one cell under the configured timeout. Thread-safe.
   CellGuard watch(std::string label);
 
-  /// Lifetime counters (attempts, not unique cells — a cell that times
-  /// out on two attempts counts twice).
+  /// Lifetime counters over every registered cell.
   long timeouts() const { return timeouts_.load(); }
   long abandonments() const { return abandonments_.load(); }
 
@@ -100,12 +94,5 @@ class Watchdog {
   std::atomic<long> abandonments_{0};
   std::thread thread_;
 };
-
-/// Deterministic backoff before retry `attempt` (1-based) of the cell with
-/// key hash `cell_hash`: base * 2^(attempt-1), scaled by a jitter factor
-/// in [1, 1.25) drawn from an Rng seeded with cell_hash ^ attempt. The
-/// same cell waits the same intervals in every run.
-double retry_backoff_seconds(double base_seconds, std::uint64_t cell_hash,
-                             int attempt);
 
 }  // namespace tvnep::eval

@@ -6,8 +6,9 @@
 //    starts for the dual simplex);
 //  * pseudocost branching, bootstrapped by most-fractional selection until
 //    a variable has been observed in both directions;
-//  * optional caller-supplied initial incumbent (the TVNEP greedy feeds
-//    its solution in, mirroring how MIP solvers accept warm starts);
+//  * optional caller-supplied initial incumbent (`solve`'s
+//    `initial_solution`, mirroring how MIP solvers accept warm starts;
+//    only the solver's own tests pass one today);
 //  * wall-clock limit with best-incumbent / best-bound gap reporting, the
 //    quantity the paper plots in Figures 4 and 6.
 #pragma once

@@ -272,7 +272,6 @@ void EventFormulation::build_precedence_cuts() {
 
 void EventFormulation::build_pairwise_cuts() {
   if (!options().dependency_cuts || !options().pairwise_cuts) return;
-  const int num_r = instance().num_requests();
   const int n = dep_.num_nodes();
 
   auto prefix_of = [&](int dep_node, int event) {

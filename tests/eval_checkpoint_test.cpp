@@ -261,7 +261,6 @@ TEST_F(CheckpointTest, ScenarioOutcomeCodecRoundTrips) {
   outcome.seed = 3;
   outcome.wall_seconds = 0.125;
   outcome.failure_reason = "numerical limit: degraded";
-  outcome.retries = 2;
   outcome.timed_out = true;
   auto& r = outcome.result;
   r.status = mip::MipStatus::kNumericalLimit;
@@ -309,7 +308,6 @@ TEST_F(CheckpointTest, ScenarioOutcomeCodecRoundTrips) {
   EXPECT_EQ(decoded.wall_seconds, outcome.wall_seconds);
   EXPECT_EQ(decoded.failed, outcome.failed);
   EXPECT_EQ(decoded.failure_reason, outcome.failure_reason);
-  EXPECT_EQ(decoded.retries, outcome.retries);
   EXPECT_EQ(decoded.timed_out, outcome.timed_out);
   EXPECT_EQ(decoded.result.status, r.status);
   EXPECT_EQ(decoded.result.has_solution, r.has_solution);
@@ -366,6 +364,7 @@ TEST_F(CheckpointTest, GreedyOutcomeCodecRoundTrips) {
   outcome.seed = 1;
   outcome.wall_seconds = 0.5;
   outcome.result.accepted = 3;
+  outcome.revenue = 12.0 + 1.0 / 3.0;
   outcome.result.complete = true;
   outcome.result.total_seconds = 0.25;
   outcome.result.iteration_seconds = {0.1, 1.0 / 7.0, 0.0009765625};
@@ -378,6 +377,7 @@ TEST_F(CheckpointTest, GreedyOutcomeCodecRoundTrips) {
   GreedyOutcome decoded;
   ASSERT_TRUE(decode_outcome(*got, decoded));
   EXPECT_EQ(decoded.result.accepted, 3);
+  EXPECT_EQ(decoded.revenue, outcome.revenue);
   EXPECT_TRUE(decoded.result.complete);
   EXPECT_EQ(decoded.result.total_seconds, 0.25);
   ASSERT_EQ(decoded.result.iteration_seconds.size(), 3u);
@@ -385,6 +385,12 @@ TEST_F(CheckpointTest, GreedyOutcomeCodecRoundTrips) {
     EXPECT_EQ(decoded.result.iteration_seconds[i],
               outcome.result.iteration_seconds[i])
         << i;
+
+  // A greedy record without its revenue cannot yield a Fig 7 shortfall:
+  // the cell is re-solved rather than resumed.
+  CellRecord without_revenue = *got;
+  without_revenue.fields.erase("revenue");
+  EXPECT_FALSE(decode_outcome(without_revenue, decoded));
 }
 
 TEST_F(CheckpointTest, CrossKindDecodeIsRejected) {

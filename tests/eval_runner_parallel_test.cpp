@@ -1,14 +1,14 @@
 // The parallel sweep engine's guarantees: grid-ordered deterministic
-// outcomes identical to the serial run, serialized announce callbacks, and
-// per-cell failure isolation (a throwing or numerically failing cell never
-// takes its siblings down).
+// outcomes identical to the serial run, the sweep's solver flags reaching
+// every solve, serialized announce callbacks, and per-cell failure
+// isolation (a throwing or numerically failing cell never takes its
+// siblings down).
 #include "eval/runner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -30,22 +30,85 @@ SweepConfig tiny_config(int threads) {
   return config;
 }
 
-TEST(ForEachCell, EnumeratesGridFlexibilityMajor) {
-  const SweepConfig config = tiny_config(4);
-  std::vector<int> visits(4, 0);
-  std::vector<std::pair<std::size_t, int>> cells(4);
-  std::mutex mutex;
-  for_each_cell(config, [&](std::size_t f, int seed, std::size_t cell) {
-    std::lock_guard<std::mutex> lock(mutex);
-    ASSERT_LT(cell, visits.size());
-    ++visits[cell];
-    cells[cell] = {f, seed};
-  });
-  for (std::size_t cell = 0; cell < 4; ++cell) {
-    EXPECT_EQ(visits[cell], 1) << cell;
-    EXPECT_EQ(cells[cell].first, cell / 2);
-    EXPECT_EQ(cells[cell].second, static_cast<int>(cell % 2));
+// Slot `cell` holds the solve of flexibility index cell / seeds and seed
+// cell % seeds, and every cell is solved exactly once. The override tags
+// each result with its instance's first window, which the test regenerates.
+TEST(RunModelSweep, EnumeratesGridFlexibilityMajor) {
+  SweepConfig config = tiny_config(4);
+  std::atomic<int> solves{0};
+  config.solve_override = [&](const net::TvnepInstance& instance,
+                              core::ModelKind, const core::SolveParams&) {
+    ++solves;
+    core::TvnepSolveResult r;
+    r.status = mip::MipStatus::kOptimal;
+    r.objective = instance.request(0).earliest_start();
+    r.best_bound = instance.request(0).latest_end();
+    return r;
+  };
+  const auto outcomes = run_model_sweep(config, core::ModelKind::kCSigma);
+  EXPECT_EQ(solves.load(), 4);
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (std::size_t cell = 0; cell < outcomes.size(); ++cell) {
+    SCOPED_TRACE(cell);
+    const double flexibility = config.flexibilities[cell / 2];
+    const int seed = static_cast<int>(cell % 2);
+    EXPECT_EQ(outcomes[cell].flexibility, flexibility);
+    EXPECT_EQ(outcomes[cell].seed, seed);
+    workload::WorkloadParams params = config.base;
+    params.seed = static_cast<std::uint64_t>(seed) + 1;
+    const net::TvnepInstance expected =
+        workload::generate_workload_with_flexibility(params, flexibility);
+    EXPECT_EQ(outcomes[cell].result.objective,
+              expected.request(0).earliest_start());
+    EXPECT_EQ(outcomes[cell].result.best_bound,
+              expected.request(0).latest_end());
   }
+}
+
+// Every solver flag of the sweep reaches the params a solve_override
+// receives — the seam the objectives experiment and abl_relaxation run
+// their per-cell work through.
+TEST(RunModelSweep, SolveOverrideSeesTheSweepSolverOptions) {
+  SweepConfig config = tiny_config(2);
+  config.mip_cuts = false;
+  config.rc_fixing = false;
+  config.lp_scaling = false;
+  config.lp_fault_period = 40;
+  config.lp_fault_burst = 2;
+  config.cell_timeout = 60.0;
+  std::atomic<int> checked{0};
+  config.solve_override = [&](const net::TvnepInstance&, core::ModelKind,
+                              const core::SolveParams& params) {
+    EXPECT_EQ(params.mip.cut_rounds, 0);
+    EXPECT_FALSE(params.mip.rc_fixing);
+    EXPECT_FALSE(params.mip.lp.scaling);
+    EXPECT_TRUE(static_cast<bool>(params.mip.lp.fault_hook));
+    EXPECT_NE(params.mip.cancel, nullptr);  // the watchdog's flag
+    EXPECT_EQ(params.time_limit_seconds, 60.0);
+    ++checked;
+    core::TvnepSolveResult r;
+    r.status = mip::MipStatus::kOptimal;
+    return r;
+  };
+  run_model_sweep(config, core::ModelKind::kCSigma);
+  EXPECT_EQ(checked.load(), 4);
+
+  // Without the flags the solver keeps its defaults and runs unwatched.
+  SweepConfig plain = tiny_config(2);
+  plain.solve_override = [&](const net::TvnepInstance&, core::ModelKind,
+                             const core::SolveParams& params) {
+    EXPECT_EQ(params.mip.cut_rounds, mip::MipOptions{}.cut_rounds);
+    EXPECT_TRUE(params.mip.rc_fixing);
+    EXPECT_TRUE(params.mip.lp.scaling);
+    EXPECT_FALSE(static_cast<bool>(params.mip.lp.fault_hook));
+    EXPECT_EQ(params.mip.cancel, nullptr);
+    ++checked;
+    core::TvnepSolveResult r;
+    r.status = mip::MipStatus::kOptimal;
+    return r;
+  };
+  run_model_sweep(plain, core::ModelKind::kCSigma);
+  EXPECT_EQ(checked.load(), 8);
 }
 
 TEST(RunModelSweep, ParallelMatchesSerialExactly) {
@@ -230,6 +293,7 @@ TEST(RunGreedySweep, ParallelMatchesSerial) {
     EXPECT_EQ(serial[i].seed, parallel[i].seed);
     EXPECT_EQ(serial[i].failed, parallel[i].failed);
     EXPECT_EQ(serial[i].result.accepted, parallel[i].result.accepted);
+    EXPECT_EQ(serial[i].revenue, parallel[i].revenue);
     EXPECT_EQ(serial[i].result.complete, parallel[i].result.complete);
     ASSERT_EQ(serial[i].result.solution.requests.size(),
               parallel[i].result.solution.requests.size());

@@ -1,24 +1,21 @@
 // Per-cell resilience: the watchdog's cooperative soft-cancel and
-// recorded-abandonment escalation, the deterministic retry backoff, and
-// the sweep harness's retry ladder end-to-end (transient failures re-run,
-// presolve dropped on the final rung, non-transient outcomes untouched).
+// recorded-abandonment escalation, standalone and end-to-end through the
+// sweep harness.
 #include "eval/watchdog.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
-#include <stdexcept>
 #include <thread>
-#include <vector>
 
 #include "eval/runner.hpp"
 
 namespace tvnep::eval {
 namespace {
 
-// One-cell sweep: everything the ladder does is observable on outcome[0].
+// One-cell sweep: everything the watchdog does is observable on
+// outcome[0].
 SweepConfig one_cell_config() {
   SweepConfig config;
   config.base.num_requests = 2;
@@ -29,15 +26,7 @@ SweepConfig one_cell_config() {
   config.seeds = 1;
   config.time_limit = 60.0;
   config.threads = 1;
-  config.retry_backoff = 0.001;  // keep ladder waits microscopic in tests
   return config;
-}
-
-core::TvnepSolveResult optimal_result() {
-  core::TvnepSolveResult r;
-  r.status = mip::MipStatus::kOptimal;
-  r.has_solution = true;
-  return r;
 }
 
 // Polls `flag` until it flips or `seconds` elapse; true when it flipped.
@@ -50,24 +39,6 @@ bool wait_for(const Flag& flag, double seconds) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return flag();
-}
-
-TEST(RetryBackoff, DeterministicExponentialWithBoundedJitter) {
-  const std::uint64_t hash = cell_key_hash({"cSigma", 3, 7});
-  for (int attempt = 1; attempt <= 4; ++attempt) {
-    const double lo = 0.1 * std::pow(2.0, attempt - 1);
-    const double v = retry_backoff_seconds(0.1, hash, attempt);
-    EXPECT_GE(v, lo) << attempt;
-    EXPECT_LT(v, lo * 1.25) << attempt;
-    // Re-running the same (cell, attempt) waits exactly as long.
-    EXPECT_EQ(v, retry_backoff_seconds(0.1, hash, attempt)) << attempt;
-  }
-  // Different cells jitter differently (the fleet doesn't thunder).
-  EXPECT_NE(retry_backoff_seconds(0.1, hash, 1),
-            retry_backoff_seconds(0.1, cell_key_hash({"cSigma", 3, 8}), 1));
-  EXPECT_EQ(retry_backoff_seconds(0.0, hash, 1), 0.0);
-  EXPECT_EQ(retry_backoff_seconds(-1.0, hash, 1), 0.0);
-  EXPECT_EQ(retry_backoff_seconds(0.1, hash, 0), 0.0);
 }
 
 TEST(WatchdogTest, DisabledWatchdogHandsOutInertGuards) {
@@ -122,111 +93,11 @@ TEST(WatchdogTest, ConcurrentGuardsTimeOutIndependently) {
   EXPECT_EQ(watchdog.timeouts(), 1);
 }
 
-TEST(RetryLadder, TransientThrowIsRetriedAndSucceeds) {
-  SweepConfig config = one_cell_config();
-  config.cell_retries = 2;
-  std::atomic<int> calls{0};
-  config.solve_override = [&](const net::TvnepInstance&, core::ModelKind,
-                              const core::SolveParams&)
-      -> core::TvnepSolveResult {
-    if (calls.fetch_add(1) == 0) throw std::runtime_error("transient blip");
-    return optimal_result();
-  };
-  const auto outcomes = run_model_sweep(config, core::ModelKind::kCSigma);
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(calls.load(), 2);
-  EXPECT_FALSE(outcomes[0].failed);
-  EXPECT_TRUE(outcomes[0].error.empty());  // retry wiped the failed attempt
-  EXPECT_EQ(outcomes[0].retries, 1);
-  EXPECT_EQ(outcomes[0].result.status, mip::MipStatus::kOptimal);
-}
-
-TEST(RetryLadder, FinalRungDropsPresolve) {
-  SweepConfig config = one_cell_config();
-  config.cell_retries = 2;
-  config.presolve = true;
-  std::vector<bool> presolve_by_attempt;
-  config.solve_override = [&](const net::TvnepInstance&, core::ModelKind,
-                              const core::SolveParams& params)
-      -> core::TvnepSolveResult {
-    presolve_by_attempt.push_back(params.mip.presolve);
-    if (presolve_by_attempt.size() < 3)
-      throw std::runtime_error("still failing");
-    return optimal_result();
-  };
-  const auto outcomes = run_model_sweep(config, core::ModelKind::kCSigma);
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].retries, 2);
-  EXPECT_FALSE(outcomes[0].failed);
-  ASSERT_EQ(presolve_by_attempt.size(), 3u);
-  EXPECT_TRUE(presolve_by_attempt[0]);
-  EXPECT_TRUE(presolve_by_attempt[1]);
-  EXPECT_FALSE(presolve_by_attempt[2]);  // attempt >= 2: presolve off
-}
-
-TEST(RetryLadder, ExhaustedRetriesKeepTheFinalFailure) {
-  SweepConfig config = one_cell_config();
-  config.cell_retries = 1;
-  std::atomic<int> calls{0};
-  config.solve_override = [&](const net::TvnepInstance&, core::ModelKind,
-                              const core::SolveParams&)
-      -> core::TvnepSolveResult {
-    ++calls;
-    throw std::runtime_error("permanent");
-  };
-  const auto outcomes = run_model_sweep(config, core::ModelKind::kCSigma);
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(calls.load(), 2);
-  EXPECT_TRUE(outcomes[0].failed);
-  EXPECT_EQ(outcomes[0].error, "permanent");
-  EXPECT_EQ(outcomes[0].retries, 1);
-}
-
-TEST(RetryLadder, CleanOutcomesNeverRetry) {
-  SweepConfig config = one_cell_config();
-  config.flexibilities = {0.0, 1.0};
-  config.seeds = 2;
-  config.cell_retries = 3;
-  std::atomic<int> calls{0};
-  config.solve_override = [&](const net::TvnepInstance&, core::ModelKind,
-                              const core::SolveParams&) {
-    ++calls;
-    return optimal_result();
-  };
-  const auto outcomes = run_model_sweep(config, core::ModelKind::kCSigma);
-  ASSERT_EQ(outcomes.size(), 4u);
-  EXPECT_EQ(calls.load(), 4);
-  for (const auto& o : outcomes) EXPECT_EQ(o.retries, 0);
-}
-
-TEST(RetryLadder, NumericalLimitIsTransientAndRetried) {
-  SweepConfig config = one_cell_config();
-  config.cell_retries = 1;
-  std::atomic<int> calls{0};
-  config.solve_override = [&](const net::TvnepInstance&, core::ModelKind,
-                              const core::SolveParams&) {
-    if (calls.fetch_add(1) == 0) {
-      core::TvnepSolveResult r;
-      r.status = mip::MipStatus::kNumericalLimit;
-      r.has_solution = true;
-      return r;
-    }
-    return optimal_result();
-  };
-  const auto outcomes = run_model_sweep(config, core::ModelKind::kCSigma);
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(calls.load(), 2);
-  EXPECT_EQ(outcomes[0].retries, 1);
-  EXPECT_EQ(outcomes[0].result.status, mip::MipStatus::kOptimal);
-  EXPECT_TRUE(outcomes[0].failure_reason.empty());  // wiped with the retry
-}
-
 // End-to-end soft-cancel: the cell stalls until the watchdog flips the
 // cancel flag the harness forwarded, then returns its anytime incumbent.
-TEST(RetryLadder, WatchdogCancelsAStalledCell) {
+TEST(WatchdogTest, SweepCancelsAStalledCell) {
   SweepConfig config = one_cell_config();
   config.cell_timeout = 0.05;
-  config.cell_retries = 0;  // timed_out is transient; don't re-run here
   config.solve_override = [&](const net::TvnepInstance&, core::ModelKind,
                               const core::SolveParams& params)
       -> core::TvnepSolveResult {
@@ -247,28 +118,6 @@ TEST(RetryLadder, WatchdogCancelsAStalledCell) {
   EXPECT_FALSE(outcomes[0].abandoned);
   EXPECT_FALSE(outcomes[0].failed);
   EXPECT_EQ(outcomes[0].result.status, mip::MipStatus::kTimeLimit);
-}
-
-// A timed-out attempt is transient: with retries available the harness
-// re-runs it, and a fast second attempt clears the timeout verdict.
-TEST(RetryLadder, TimedOutAttemptRetriesAndClears) {
-  SweepConfig config = one_cell_config();
-  config.cell_timeout = 0.05;
-  config.cell_retries = 1;
-  std::atomic<int> calls{0};
-  config.solve_override = [&](const net::TvnepInstance&, core::ModelKind,
-                              const core::SolveParams& params)
-      -> core::TvnepSolveResult {
-    if (calls.fetch_add(1) == 0)
-      wait_for([&] { return params.mip.cancel->load(); }, 10.0);
-    return optimal_result();
-  };
-  const auto outcomes = run_model_sweep(config, core::ModelKind::kCSigma);
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(calls.load(), 2);
-  EXPECT_EQ(outcomes[0].retries, 1);
-  EXPECT_FALSE(outcomes[0].timed_out);  // the verdict of the final attempt
-  EXPECT_EQ(outcomes[0].result.status, mip::MipStatus::kOptimal);
 }
 
 }  // namespace

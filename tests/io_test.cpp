@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "io/instance_io.hpp"
-#include "io/mps_writer.hpp"
 #include "net/topology.hpp"
 #include "support/check.hpp"
 #include "support/parse_error.hpp"
@@ -51,8 +50,9 @@ TEST(InstanceIo, RoundTripsExactly) {
       EXPECT_DOUBLE_EQ(a.link(e).demand, b.link(e).demand);
     }
     ASSERT_EQ(original.has_fixed_mapping(r), loaded.has_fixed_mapping(r));
-    if (original.has_fixed_mapping(r))
+    if (original.has_fixed_mapping(r)) {
       EXPECT_EQ(original.fixed_mapping(r), loaded.fixed_mapping(r));
+    }
   }
 }
 
@@ -157,91 +157,6 @@ TEST(InstanceIo, CommentsAndBlankLinesKeepLineNumbersHonest) {
       "tvnep 1\n# a comment\n\nhorizon 5\nvlink 0 1 2.0\n");
   EXPECT_EQ(e.line(), 5);
   EXPECT_NE(e.message().find("vlink before any request"), std::string::npos);
-}
-
-TEST(MpsWriter, ContainsAllSections) {
-  mip::Model m;
-  const mip::Var x = m.add_binary("x");
-  const mip::Var y = m.add_continuous(0.0, 4.0, "y");
-  m.add_constr(2.0 * x + y <= 5.0);
-  m.add_constr(x + y >= 1.0);
-  m.add_constr(1.0 * y == 2.0);
-  m.set_objective(mip::Sense::kMaximize, 3.0 * x + y);
-
-  std::stringstream buffer;
-  write_mps(m, buffer, "test");
-  const std::string mps = buffer.str();
-  for (const char* section :
-       {"NAME", "OBJSENSE", "MAX", "ROWS", "COLUMNS", "RHS", "BOUNDS",
-        "ENDATA", "'INTORG'", "'INTEND'"})
-    EXPECT_NE(mps.find(section), std::string::npos) << section;
-  // Three constraint rows plus the objective row.
-  EXPECT_NE(mps.find(" L  c0"), std::string::npos);
-  EXPECT_NE(mps.find(" G  c1"), std::string::npos);
-  EXPECT_NE(mps.find(" E  c2"), std::string::npos);
-}
-
-TEST(MpsWriter, RangedRowsEmitRanges) {
-  mip::Model m;
-  const mip::Var x = m.add_continuous(0.0, 10.0, "x");
-  mip::Constraint c{mip::LinExpr(x), 2.0, 7.0};
-  m.add_constr(c);
-  m.set_objective(mip::Sense::kMinimize, mip::LinExpr(x));
-  std::stringstream buffer;
-  write_mps(m, buffer);
-  EXPECT_NE(buffer.str().find("RANGES"), std::string::npos);
-  EXPECT_NE(buffer.str().find("rng  c0  5"), std::string::npos);
-}
-
-TEST(MpsWriter, GoldenRangedModel) {
-  // Full-file golden for a model with a ranged row: locks down the exact
-  // section order, synthetic names, integer markers and the RANGES width
-  // (upper - lower) the writer emits.
-  mip::Model m;
-  const mip::Var x = m.add_binary("x");
-  const mip::Var y = m.add_continuous(0.0, 4.0, "y");
-  m.add_constr(mip::Constraint{mip::LinExpr(x) + 2.0 * y, 1.0, 5.0});
-  m.add_constr(1.0 * y == 2.0);
-  m.set_objective(mip::Sense::kMinimize, mip::LinExpr(x) + 1.0 * y);
-
-  std::stringstream buffer;
-  write_mps(m, buffer, "golden");
-  const std::string expected =
-      "NAME          golden\n"
-      "OBJSENSE\n"
-      "    MIN\n"
-      "ROWS\n"
-      " N  obj\n"
-      " L  c0\n"
-      " E  c1\n"
-      "COLUMNS\n"
-      "    MARKER0    'MARKER'    'INTORG'\n"
-      "    x0  obj  1\n"
-      "    x0  c0  1\n"
-      "    MARKER1    'MARKER'    'INTEND'\n"
-      "    x1  obj  1\n"
-      "    x1  c0  2\n"
-      "    x1  c1  1\n"
-      "RHS\n"
-      "    rhs  c0  5\n"
-      "    rhs  c1  2\n"
-      "RANGES\n"
-      "    rng  c0  4\n"
-      "BOUNDS\n"
-      " UP  bnd  x0  1\n"
-      " UP  bnd  x1  4\n"
-      "ENDATA\n";
-  EXPECT_EQ(buffer.str(), expected);
-}
-
-TEST(MpsWriter, WritesFormulationWithoutError) {
-  const net::TvnepInstance inst = sample_instance();
-  const auto formulation =
-      core::build_formulation(inst, core::ModelKind::kCSigma, {});
-  std::stringstream buffer;
-  write_mps(formulation->model(), buffer, "csigma");
-  EXPECT_GT(buffer.str().size(), 1000u);
-  EXPECT_NE(buffer.str().find("ENDATA"), std::string::npos);
 }
 
 }  // namespace

@@ -215,8 +215,9 @@ TEST(SimplexRandom, RepeatedResolvesAreStable) {
     const SolveStatus ws = warm.solve();
     const SolveStatus cs = cold.solve();
     ASSERT_EQ(ws, cs) << "step " << step;
-    if (ws == SolveStatus::kOptimal)
+    if (ws == SolveStatus::kOptimal) {
       EXPECT_NEAR(warm.objective(), cold.objective(), 1e-6) << "step " << step;
+    }
   }
 }
 

@@ -107,7 +107,9 @@ TEST(DependencyGraph, AcyclicInvariant) {
   const DependencyGraph g(inst);
   for (int v = 0; v < g.num_nodes(); ++v)
     for (int w = 0; w < g.num_nodes(); ++w)
-      if (g.has_edge(v, w)) EXPECT_FALSE(g.has_edge(w, v));
+      if (g.has_edge(v, w)) {
+        EXPECT_FALSE(g.has_edge(w, v));
+      }
 }
 
 TEST(DependencyGraph, RoundedPinnedWindowsStayAcyclic) {

@@ -47,7 +47,9 @@ void expect_same_instance(const net::TvnepInstance& a,
       EXPECT_DOUBLE_EQ(ra.link(e).demand, rb.link(e).demand);
     }
     ASSERT_EQ(a.has_fixed_mapping(r), b.has_fixed_mapping(r));
-    if (a.has_fixed_mapping(r)) EXPECT_EQ(a.fixed_mapping(r), b.fixed_mapping(r));
+    if (a.has_fixed_mapping(r)) {
+      EXPECT_EQ(a.fixed_mapping(r), b.fixed_mapping(r));
+    }
   }
 }
 
